@@ -25,45 +25,12 @@ import json
 import sys
 from pathlib import Path
 
-from .core.analysis import (
-    DifferentialAnalysis,
-    analyze_campaign,
-    analyze_correlation,
-    analyze_geography,
-    analyze_quic_ecn,
-    analyze_reachability,
-    analyze_tcp_ecn,
-)
 from .core.discovery import PoolDiscovery
-from .core.measurement import MeasurementApplication
-from .core.traces import TraceSet, TracerouteCampaign
-from .ioutil import atomic_write_text
 from .netsim.ipv4 import format_addr
-from .obs import (
-    FilterError,
-    MetricsRegistry,
-    PathTracer,
-    RunTelemetry,
-    parse_filter,
-    render_metrics_report,
-)
-from .reporting.export import (
-    export_figure_data,
-    export_metrics_json,
-    export_spans_json,
-    export_summary_json,
-    export_telemetry_json,
-    export_traces_csv,
-)
-from .reporting.report import full_report
+from .obs import FilterError, RunTelemetry, parse_filter, render_metrics_report
 from .scenario.internet import SyntheticInternet
-from .scenario.timeline import EpochDrift, drifted_params
-
-
-def _build_world(
-    scale: float, seed: int, drift: EpochDrift | None = None
-) -> SyntheticInternet:
-    return SyntheticInternet(drifted_params(scale, seed, drift))
+from .scenario.parameters import params_for_scale
+from .study import Study
 
 
 def _fail(message: str) -> int:
@@ -81,48 +48,20 @@ def _checked_world(scale: float, seed: int) -> SyntheticInternet:
     """
     if not 0 < scale <= 1:
         raise ValueError(f"scale must be in (0, 1]: {scale!r}")
-    return _build_world(scale, seed)
-
-
-def _analyses(world: SyntheticInternet, traces: TraceSet, campaign: TracerouteCampaign):
-    geo = analyze_geography(traces.server_addrs, world.geo)
-    reach = analyze_reachability(traces)
-    diff_a = DifferentialAnalysis(traces, "plain-only")
-    diff_b = DifferentialAnalysis(traces, "ect-only")
-    tcp = analyze_tcp_ecn(traces)
-    paths = analyze_campaign(campaign, world.noisy_as_map)
-    corr = analyze_correlation(traces)
-    # None when the study ran without the QUIC probe family — report
-    # and export then reproduce the legacy artefacts byte for byte.
-    quic_summary = analyze_quic_ecn(traces)
-    quic = quic_summary if quic_summary.total else None
-    return geo, reach, diff_a, diff_b, tcp, paths, corr, quic
+    return SyntheticInternet(params_for_scale(scale, seed))
 
 
 def cmd_study(args: argparse.Namespace) -> int:
-    trace_filter = getattr(args, "trace_packets", None)
-    workers = args.workers
-    if workers < 0:
-        return _fail(f"--workers must be >= 0: {workers}")
-    span_detail = getattr(args, "spans", None)
-    profile = getattr(args, "profile", False)
-    obs_dir = args.out if args.out else None
-    if profile and obs_dir is None:
+    trace_filter = args.trace_packets
+    if args.workers < 0:
+        return _fail(f"--workers must be >= 0: {args.workers}")
+    if args.profile and args.out is None:
         return _fail("--profile needs --out to write profile dumps into")
     if trace_filter is not None:
         try:
             parse_filter(trace_filter)
         except FilterError as exc:
             return _fail(f"bad --trace-packets expression: {exc}")
-        if workers > 0:
-            # Per-packet event streams have no wire encoding, so they
-            # cannot come back from shard workers.
-            print(
-                "--trace-packets requires sequential execution; "
-                "ignoring --workers",
-                file=sys.stderr,
-            )
-            workers = 0
 
     try:
         world = _checked_world(args.scale, args.seed)
@@ -139,8 +78,7 @@ def cmd_study(args: argparse.Namespace) -> int:
                 world, profile=args.chaos, chaos_seed=args.chaos_seed
             )
         except ValueError as exc:
-            print(str(exc), file=sys.stderr)
-            return 2
+            return _fail(str(exc))
         summary = fault_plan.summary()
         print(
             f"chaos profile={summary['profile']} seed={summary['chaos_seed']}: "
@@ -157,149 +95,40 @@ def cmd_study(args: argparse.Namespace) -> int:
         f"discovered {len(report)} servers in {report.sweeps} sweeps",
         file=sys.stderr,
     )
+    if args.workers > 0:
+        print(f"running sharded across {args.workers} workers", file=sys.stderr)
 
     def progress(done: int, total: int, label: str) -> None:
         print(f"trace {done + 1}/{total} from {label}", file=sys.stderr)
 
-    metrics_snapshot = None
-    telemetry = None
-    spans = None
-    events_list = None
-    tracer = PathTracer(match=trace_filter) if trace_filter is not None else None
-    if workers > 0:
-        from .runner import run_study_parallel
-
-        print(f"running sharded across {args.workers} workers", file=sys.stderr)
-        telemetry = RunTelemetry() if args.metrics else None
-        span_sink: list = []
-        event_sink: list = []
-        traces, campaign = run_study_parallel(
-            scale=args.scale,
-            seed=args.seed,
-            workers=workers,
-            targets=report.addresses,
-            world=world,
-            progress=progress if args.verbose else None,
-            fault_plan=fault_plan,
-            telemetry=telemetry,
-            span_detail=span_detail,
-            span_sink=span_sink if span_detail is not None else None,
-            event_sink=event_sink if args.events else None,
-            flight_dir=obs_dir,
-            profile_dir=obs_dir if profile else None,
-            quic=args.quic,
-        )
-        if span_detail is not None:
-            spans = span_sink
-        if args.events:
-            events_list = event_sink
-        if telemetry is not None:
-            metrics_snapshot = telemetry.metrics
-    else:
-        registry = MetricsRegistry() if args.metrics else None
-        if registry is not None or tracer is not None:
-            world.network.set_observability(registry, tracer)
-        recorder = None
-        if span_detail is not None:
-            from .obs import SpanRecorder
-            from .runner.shard import shard_context_map
-
-            recorder = SpanRecorder(
-                detail=span_detail,
-                context_map=shard_context_map(world.params.schedule),
-            )
-            world.set_span_recorder(recorder)
-        event_log = None
-        if args.events:
-            from .obs import EventLog
-            from .runner.shard import shard_context_map
-
-            event_log = EventLog(
-                stamp_wall=False,
-                context_map=shard_context_map(world.params.schedule),
-            )
-            world.set_event_log(event_log)
-        if fault_plan is not None:
-            world.install_fault_plan(fault_plan)
-        profiler = None
-        if profile:
-            import cProfile
-
-            profiler = cProfile.Profile()
-            profiler.enable()
-        try:
-            app = MeasurementApplication(world, targets=report.addresses, quic=args.quic)
-            traces = app.run_study(progress=progress if args.verbose else None)
-            campaign = app.run_traceroutes()
-        finally:
-            if profiler is not None:
-                profiler.disable()
-            if registry is not None or tracer is not None:
-                world.network.set_observability(None, None)
-            if recorder is not None:
-                world.set_span_recorder(None)
-            if event_log is not None:
-                world.set_event_log(None)
-            if fault_plan is not None:
-                world.install_fault_plan(None)
-        if recorder is not None:
-            spans = recorder.export()
-        if event_log is not None:
-            events_list = event_log.export()
-        if profiler is not None:
-            out = Path(obs_dir)
-            out.mkdir(parents=True, exist_ok=True)
-            profiler.dump_stats(out / "profile-sequential.pstats")
-        if registry is not None:
-            metrics_snapshot = registry.snapshot()
-
-    geo, reach, diff_a, diff_b, tcp, paths, corr, quic = _analyses(
-        world, traces, campaign
+    study = Study.run(
+        scale=args.scale,
+        seed=args.seed,
+        workers=args.workers,
+        world=world,
+        targets=report.addresses,
+        faults=fault_plan,
+        progress=progress if args.verbose else None,
+        collect_metrics=args.metrics,
+        trace_filter=trace_filter,
+        record_spans=args.spans or False,
+        collect_events=args.events,
+        obs_dir=args.out,
+        profile=args.profile,
+        quic=args.quic,
     )
-    text = full_report(geo, reach, diff_a, diff_b, tcp, campaign, paths, corr, quic=quic)
-
+    text = study.report()
     if args.out:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        manifest: dict = {"scale": args.scale, "seed": args.seed}
-        if args.quic:
-            manifest["quic"] = True
-        if fault_plan is not None:
-            manifest["chaos"] = fault_plan.summary()
-        atomic_write_text(out / "manifest.json", json.dumps(manifest))
-        traces.save(out / "traces.json")
-        campaign.save(out / "traceroutes.json")
-        export_summary_json(out / "summary.json", geo, reach, tcp, paths, corr, quic=quic)
-        export_traces_csv(out / "traces.csv", traces)
-        if metrics_snapshot is not None:
-            export_metrics_json(out / "metrics.json", metrics_snapshot)
-        if telemetry is not None:
-            export_telemetry_json(out / "telemetry.json", telemetry)
-        if spans is not None:
-            from .obs import export_chrome_trace
-
-            export_spans_json(out / "spans.json", spans)
-            export_chrome_trace(spans, out / "trace.json")
-        if events_list is not None:
-            from .obs import canonical_events, render_events_jsonl
-
-            atomic_write_text(
-                out / "events.jsonl",
-                render_events_jsonl(canonical_events(events_list)),
-            )
-        export_figure_data(
-            out / "figures", reach, tcp, diff_a, diff_b, tcp.pct_negotiated
-        )
-        atomic_write_text(out / "report.txt", text + "\n")
-        print(f"study written to {out}/", file=sys.stderr)
+        study.save(args.out)
+        print(f"study written to {args.out}/", file=sys.stderr)
     print(text)
-    if tracer is not None:
+    if study.tracer is not None:
         print(f"\n== Packet trace ({trace_filter}) ==")
-        dumped = tracer.dump(max_lines=args.trace_limit)
+        dumped = study.tracer.dump(max_lines=args.trace_limit)
         print(dumped if dumped else "  (no packets matched)")
-    if metrics_snapshot is not None:
+    if study.metrics is not None:
         print()
-        print(render_metrics_report(metrics_snapshot, telemetry))
+        print(render_metrics_report(study.metrics, study.telemetry))
     return 0
 
 
@@ -358,26 +187,10 @@ def cmd_report(args: argparse.Namespace) -> int:
     if not study.is_dir():
         return _fail(f"no study directory at {study}/")
     try:
-        manifest = json.loads((study / "manifest.json").read_text())
-        # Drifted archives (campaign epochs) carry their drift in the
-        # manifest; rebuilding from (scale, seed) alone would analyse
-        # the traces against the wrong world.
-        drift = (
-            EpochDrift.from_dict(manifest["drift"])
-            if "drift" in manifest
-            else None
-        )
-        world = _build_world(manifest["scale"], manifest["seed"], drift)
-        traces = TraceSet.load(study / "traces.json")
-        campaign = TracerouteCampaign.load(study / "traceroutes.json")
+        loaded = Study.load(study)
     except (OSError, ValueError, KeyError) as exc:
         return _fail(f"cannot load study from {study}/: {exc}")
-    # ``quic`` is auto-detected from the loaded traces: archives
-    # written with --quic carry the extended outcome rows.
-    geo, reach, diff_a, diff_b, tcp, paths, corr, quic = _analyses(
-        world, traces, campaign
-    )
-    print(full_report(geo, reach, diff_a, diff_b, tcp, campaign, paths, corr, quic=quic))
+    print(loaded.report())
     dashboard = getattr(args, "dashboard", None)
     if dashboard is not None:
         from .obs import write_dashboard
@@ -478,23 +291,18 @@ def cmd_tracebox(args: argparse.Namespace) -> int:
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
-    from .core.analysis.uncertainty import headline_intervals
-    from .core.analysis.validation import validate_study
-
     try:
         world = _checked_world(args.scale, args.seed)
     except ValueError as exc:
         return _fail(str(exc))
-    app = MeasurementApplication(world)
-    traces = app.run_study()
-    campaign = app.run_traceroutes()
+    study = Study.run(scale=args.scale, seed=args.seed, discover=False, world=world)
 
     print("Headline statistics (bootstrap over traces):")
-    for line in headline_intervals(traces).summary_lines():
+    for line in study.intervals().summary_lines():
         print(f"  {line}")
 
     print("\nInference quality vs deployed ground truth:")
-    for quality in validate_study(world, traces, campaign):
+    for quality in study.validate():
         print(
             f"  {quality.name:<18} precision={quality.precision:.2f} "
             f"recall={quality.recall:.2f} f1={quality.f1:.2f}"
@@ -721,7 +529,8 @@ def build_parser() -> argparse.ArgumentParser:
     study.add_argument("--trace-packets", type=str, default=None,
                        metavar="EXPR",
                        help="trace packets matching a filter, e.g. "
-                            "'udp and dst 10.3.0.7' (forces sequential)")
+                            "'udp and dst 10.3.0.7' (the trace is "
+                            "identical for any --workers value)")
     study.add_argument("--trace-limit", type=int, default=200,
                        help="max packet-trace lines to print")
     study.add_argument("--spans", nargs="?", const="epoch",
@@ -738,8 +547,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "form identical for any --workers value); "
                             "with --out also writes events.jsonl")
     study.add_argument("--profile", action="store_true",
-                       help="capture cProfile stats per shard (or one "
-                            "sequential profile) into --out")
+                       help="capture cProfile stats per shard into --out")
     study.add_argument("--verbose", action="store_true")
     study.set_defaults(func=cmd_study)
 

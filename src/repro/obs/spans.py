@@ -19,11 +19,10 @@ into protocol phases.  Every span carries two clocks:
 
 Span identifiers are derived from ``(shard_id, sequence counter)``:
 the ``n``-th span recorded while executing shard ``k``'s work is
-``s<k>.<n>`` in *both* execution modes, because the sequential study
-and a shard worker walk a shard's epochs in the same order.  That is
-what makes the merged span forest of a sharded run bit-identical (in
-canonical form) to the sequential run's — the property
-``tests/obs/test_span_equivalence.py`` enforces.
+``s<k>.<n>`` whichever process runs the shard.  That is what makes
+the merged span forest bit-identical (in canonical form) for every
+worker count — the property ``tests/obs/test_span_equivalence.py``
+enforces.
 
 The assembled span list exports to Chrome Trace Event Format
 (:func:`export_chrome_trace`), loadable in Perfetto or
@@ -124,13 +123,11 @@ class Span:
 class SpanRecorder:
     """Records the span tree of one execution context.
 
-    One recorder observes either a whole sequential study or a single
-    shard inside a worker process.  ``context_map`` translates the
-    measurement application's ``(kind, vantage, batch)`` coordinates
-    into shard ids (built by :func:`repro.runner.shard.shard_context_map`);
-    a worker passes the one-entry map for its own shard, the
-    sequential study passes the full map, and both therefore mint
-    identical ``(shard_id, seq)`` identifiers for identical work.
+    One recorder observes one shard's execution.  ``context_map``
+    translates the measurement application's ``(kind, vantage,
+    batch)`` coordinates into shard ids (built by
+    :func:`repro.runner.shard.shard_context_map`), so identical work
+    mints identical ``(shard_id, seq)`` identifiers in any process.
 
     Truthiness-gated like :class:`~repro.obs.metrics.MetricsRegistry`:
     instrumented call sites pay one predicate when no recorder is
@@ -278,9 +275,7 @@ class SpanRecorder:
         """Per-shard span subtrees (shard span first), JSON-safe.
 
         The shard span's simulated interval is synthesized from its
-        children — a sequential run executes one shard's epochs
-        interleaved with other shards', so recording order cannot
-        define it deterministically.
+        children, so recording order cannot define it.
         """
         exports: dict[int, list[dict]] = {}
         for shard_id, spans in self._spans_by_shard.items():
@@ -294,7 +289,7 @@ class SpanRecorder:
         return exports
 
     def export(self) -> list[dict]:
-        """The full study span list (root first), for a sequential run."""
+        """The full study span list (root first) of this recorder."""
         return assemble_study_spans(self.shard_exports())
 
 

@@ -82,6 +82,9 @@ class PathTracer:
         match: PacketFilter | str | None = None,
         limit: int = 100_000,
     ) -> None:
+        #: The filter expression when ``match`` was given as one; it is
+        #: what crosses the process boundary to shard workers.
+        self.expression: str | None = match if isinstance(match, str) else None
         self.match: PacketFilter | None = (
             parse_filter(match) if isinstance(match, str) else match
         )

@@ -1,31 +1,34 @@
-"""repro.runner — sharded parallel campaign execution.
+"""repro.runner — sharded campaign execution, the one way a study runs.
 
-The sequential study walks its trace schedule one epoch at a time in a
-single process.  This package partitions the same schedule into
-independent **shards** — one per ``(vantage, batch)`` slice of the
-trace plan, plus one per-vantage traceroute sweep — and executes them
-across a pool of worker processes.  Each worker deterministically
-rebuilds the synthetic Internet from ``(scale, seed)`` and runs its
-shards inside hermetic measurement epochs, so the merged study is
-**bit-identical** to a sequential run regardless of worker count,
-shard ordering, or mid-campaign retries.
+A study's schedule is partitioned into independent **shards** — one
+per ``(vantage, batch)`` slice of the trace plan, plus one per-vantage
+traceroute sweep — mirroring the paper's independent per-vantage
+traces.  ``workers=N`` executes them across a pool of worker
+processes; each worker deterministically rebuilds the synthetic
+Internet from ``(scale, seed)`` and runs its shards inside hermetic
+measurement epochs.  ``workers=0`` runs the same shards in-process
+against the caller's world.  Either way the results cross the same
+wire codec and the same merge, so the study is **bit-identical** for
+any worker count, shard ordering, or mid-campaign retries.
 
 Layout:
 
 - :mod:`~repro.runner.shard` — partition a schedule into shards
-- :mod:`~repro.runner.worker` — execute one shard in a worker process
+- :mod:`~repro.runner.worker` — execute one shard (in a worker
+  process or inline)
 - :mod:`~repro.runner.scheduler` — dispatch, retries, pool recovery
 - :mod:`~repro.runner.merge` — wire codec + deterministic reassembly
 - :mod:`~repro.runner.progress` — fold shard completions into the
-  sequential ``ProgressFn`` channel
+  ``ProgressFn`` channel
 
 The high-level entry point is :func:`run_study_parallel`, which
-``Study.run(workers=N)`` and ``ecnudp study --workers N`` call.
+:meth:`repro.study.Study.run` calls for every ``workers`` value.
 """
 
 from __future__ import annotations
 
 import time
+from contextlib import nullcontext
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -35,11 +38,11 @@ from ..faults.events import FaultPlan
 from ..obs import (
     FlightRecorder,
     MetricsRegistry,
+    PathTracer,
     RunTelemetry,
     ShardRecord,
     assemble_study_events,
     assemble_study_spans,
-    merge_snapshots,
 )
 from ..scenario.internet import SyntheticInternet
 from ..scenario.timeline import EpochDrift, drifted_params
@@ -53,6 +56,7 @@ from .merge import (
     encode_path,
     encode_trace,
     merge_campaign,
+    merge_packet_traces,
     merge_traces,
 )
 from .pool import SharedWorkerPool
@@ -67,6 +71,7 @@ from .worker import (
     InjectedShardFault,
     ShardJob,
     execute_shard,
+    inline_world,
 )
 
 __all__ = [
@@ -95,6 +100,7 @@ __all__ = [
     "encode_trace",
     "execute_shard",
     "merge_campaign",
+    "merge_packet_traces",
     "merge_traces",
     "plan_shards",
     "run_study_parallel",
@@ -119,6 +125,7 @@ def run_study_parallel(
     span_detail: str | None = None,
     span_sink: list | None = None,
     event_sink: list | None = None,
+    tracer: PathTracer | None = None,
     event_log=None,
     flight_dir: str | Path | None = None,
     profile_dir: str | Path | None = None,
@@ -130,9 +137,11 @@ def run_study_parallel(
 
     The parent builds (or receives) the world and the probe-target
     list — discovery runs exactly once, in the parent — then ships
-    only ``(scale, seed, targets, shard)`` to each worker.  Returns
-    ``(TraceSet, TracerouteCampaign)`` bit-identical to what the
-    sequential ``MeasurementApplication`` path produces.
+    only ``(scale, seed, targets, shard)`` to each worker.  With
+    ``workers=0`` (and no ``pool``) the shards run in this process
+    against ``world`` itself, with ``fault_plan`` installed around the
+    run; no second world is built.  Returns ``(TraceSet,
+    TracerouteCampaign)``, identical for every ``workers`` value.
 
     Passing a :class:`~repro.obs.RunTelemetry` turns observation on:
     every shard runs under a fresh worker-side metrics registry, and
@@ -182,6 +191,11 @@ def run_study_parallel(
     own) that the parent-side scheduler narrates shard lifecycle into
     — dispatch, retries, gang recoveries, pool rebuilds.
 
+    ``tracer`` turns on packet tracing: its filter expression
+    (:attr:`~repro.obs.PathTracer.expression`) ships in every
+    :class:`ShardJob`, and the per-shard event streams are merged into
+    it in shard-id order, its limit applied after the merge.
+
     ``quic`` turns on the QUIC ECN-validation probe family in every
     shard's measurement application; it rides in the
     :class:`ShardJob` without joining the worker world-cache key.
@@ -206,6 +220,11 @@ def run_study_parallel(
         observe = telemetry is not None
     flight_path = str(flight_dir) if flight_dir is not None else None
     profile_path = str(profile_dir) if profile_dir is not None else None
+    trace_filter = None
+    if tracer is not None:
+        if tracer.expression is None:
+            raise ValueError("sharded packet tracing needs a filter expression")
+        trace_filter = tracer.expression
     jobs = [
         ShardJob(
             scale=scale,
@@ -217,6 +236,7 @@ def run_study_parallel(
             fault_plan=fault_plan,
             span_detail=span_detail,
             events=event_sink is not None,
+            trace_filter=trace_filter,
             flight_dir=flight_path,
             profile_dir=profile_path,
             quic=quic,
@@ -262,9 +282,11 @@ def run_study_parallel(
         pool=pool,
         events=event_log,
     )
+    inline = pool is None and workers <= 0
     started = time.perf_counter()
     try:
-        results = scheduler.run(jobs, on_complete=on_complete)
+        with inline_world(world, fault_plan) if inline else nullcontext():
+            results = scheduler.run(jobs, on_complete=on_complete)
     except ProgressOverflowError as exc:
         # Strict progress accounting tripped: the shard plan and the
         # completions disagree.  Leave the black box before aborting.
@@ -288,11 +310,12 @@ def run_study_parallel(
             by_shard[shard_id] for shard_id in sorted(by_shard)
         )
     if span_sink is not None and span_detail is not None:
-        # Same dedup-by-shard discipline as metrics, same assembly
-        # path as the sequential recorder: bit-identical by design.
+        # Same dedup-by-shard discipline as metrics.
         span_sink.extend(assemble_study_spans(collect_shard_spans(results)))
     if event_sink is not None:
         event_sink.extend(assemble_study_events(collect_shard_events(results)))
+    if tracer is not None:
+        merge_packet_traces(results, tracer)
     traces = merge_traces(
         (r for r in results if r["kind"] == KIND_TRACES),
         server_addrs=list(target_tuple),

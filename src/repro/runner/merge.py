@@ -27,6 +27,7 @@ from ..core.traces import (
     _outcome_from_row,
     _outcome_to_row,
 )
+from ..obs.tracing import PathEvent, PathTracer
 
 #: Wire-format tag carried by every shard result.
 WIRE_FORMAT = "ecn-udp-shard/1"
@@ -118,6 +119,24 @@ def decode_path(data: dict) -> PathTrace:
 
 
 # ----------------------------------------------------------------------
+# Packet-trace codec
+# ----------------------------------------------------------------------
+def encode_packet_event(event: PathEvent) -> list:
+    """PathEvent -> 9-field row, in :class:`PathEvent` field order."""
+    return [
+        event.time,
+        event.src,
+        event.dst,
+        event.protocol,
+        event.ident,
+        event.hop,
+        event.action,
+        event.ecn_before,
+        event.ecn_after,
+    ]
+
+
+# ----------------------------------------------------------------------
 # Reassembly
 # ----------------------------------------------------------------------
 def _check_format(result: dict) -> None:
@@ -184,6 +203,29 @@ def collect_shard_events(results: Iterable[dict]) -> dict[int, list[dict]]:
         if events:
             by_shard.setdefault(int(result["shard_id"]), events)
     return by_shard
+
+
+def merge_packet_traces(results: Iterable[dict], tracer: PathTracer) -> None:
+    """Replay per-shard packet streams into ``tracer`` in shard-id order.
+
+    Each shard traced under the default :class:`PathTracer` limit, so
+    applying ``tracer.limit`` here, after the merge, keeps exactly the
+    events — and counts exactly the drops — of one tracer watching the
+    shards run one after another.  A shard observed twice counts once.
+    """
+    by_shard: dict[int, dict] = {}
+    for result in results:
+        _check_format(result)
+        if "packets" in result:
+            by_shard.setdefault(int(result["shard_id"]), result)
+    for shard_id in sorted(by_shard):
+        result = by_shard[shard_id]
+        for row in result["packets"]:
+            if len(tracer.events) < tracer.limit:
+                tracer.events.append(PathEvent(*row))
+            else:
+                tracer.dropped += 1
+        tracer.dropped += result["packets_dropped"]
 
 
 def merge_campaign(

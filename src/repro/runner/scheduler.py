@@ -10,11 +10,12 @@ Because every shard is a pure function of ``(params, shard)``, a retry
 cannot produce a different result, so recovery never threatens the
 determinism contract — it only threatens wall-clock time.
 
-When ``workers <= 0``, or the platform cannot provide process pools at
-all (no ``multiprocessing`` semaphores in a sandbox, for instance),
-the scheduler degrades to in-process execution of the same jobs with
-the same retry policy, preserving behaviour exactly — just without
-the parallelism.
+When ``workers <= 0`` — every ``Study.run(workers=0)`` — the scheduler
+executes the same jobs in-process with the same retry policy.  A
+platform that cannot provide process pools at all (no
+``multiprocessing`` semaphores in a sandbox, for instance) degrades to
+that path too, preserving behaviour exactly — just without the
+parallelism.
 """
 
 from __future__ import annotations
@@ -126,7 +127,7 @@ class ShardScheduler:
         return self._run_pooled(jobs, executor_factory, on_complete)
 
     # ------------------------------------------------------------------
-    # Degraded path: same jobs, same retry policy, one process
+    # In-process path: same jobs, same retry policy, one process
     # ------------------------------------------------------------------
     def _run_inline(
         self,

@@ -65,20 +65,18 @@ class Shard:
 
 def shard_context_map(
     schedule: TraceScheduleParams,
-    traceroutes: bool = True,
 ) -> dict[tuple[str, str, int], int]:
     """Map ``(kind, vantage, batch)`` execution contexts to shard ids.
 
-    This is how the span recorder attributes work to shards without
-    the measurement application knowing about sharding: the sequential
-    study resolves every epoch through the full map, a worker through
-    the entries of its own shard, and both mint identical span ids
-    because the map is a pure function of the schedule.  Traceroute
-    contexts use batch 0 (sweeps have no batch).
+    This is how the span recorder and event log attribute work to
+    shards without the measurement application knowing about
+    sharding: ids minted while executing a shard are a pure function
+    of the schedule, whichever process runs it.  Traceroute contexts
+    use batch 0 (sweeps have no batch).
     """
     return {
         (shard.kind, shard.vantage_key, shard.batch): shard.shard_id
-        for shard in plan_shards(schedule, traceroutes=traceroutes)
+        for shard in plan_shards(schedule)
     }
 
 

@@ -10,10 +10,15 @@ cost once and then runs any number of shards against it; hermetic
 measurement epochs guarantee the execution order across shards cannot
 influence results.
 
+The same code runs shards in-process for ``workers=0``: there
+:func:`inline_world` points every shard at the caller's world, which
+is already built and discovered, instead of the per-process cache.
+
 Observability rides along per job: ``observe`` installs a fresh
-metrics registry, ``span_detail`` a fresh span recorder (its subtree
-ships back in the wire result), ``profile_dir`` wraps the measurement
-in :mod:`cProfile`, and ``flight_dir`` arms the process-wide crash
+metrics registry, ``trace_filter`` a fresh packet tracer and
+``span_detail`` a fresh span recorder (their records ship back in the
+wire result), ``profile_dir`` wraps the measurement in
+:mod:`cProfile`, and ``flight_dir`` arms the process-wide crash
 flight recorder — a bounded ring of span/fault/lifecycle events dumped
 to ``flight-shard-<id>.json`` when a shard execution dies.
 
@@ -27,6 +32,8 @@ from __future__ import annotations
 
 import os
 import time
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -36,9 +43,10 @@ from ..obs.events import EventLog
 from ..obs.flight import FlightRecorder
 from ..obs.metrics import MetricsRegistry
 from ..obs.spans import SpanRecorder
+from ..obs.tracing import PathTracer
 from ..scenario.internet import SyntheticInternet
 from ..scenario.timeline import EpochDrift, drifted_params
-from .merge import WIRE_FORMAT, encode_path, encode_trace
+from .merge import WIRE_FORMAT, encode_packet_event, encode_path, encode_trace
 from .shard import KIND_TRACES, Shard, shard_context_map
 
 #: Fault kinds understood by :func:`execute_shard`.
@@ -89,6 +97,10 @@ class ShardJob:
     #: chaos installations) in a fresh per-shard EventLog and ships
     #: them back under the wire result's ``events`` key.
     events: bool = False
+    #: Packet-filter expression (:func:`repro.obs.parse_filter`): the
+    #: worker traces matching packets and ships the events back under
+    #: the wire result's ``packets`` key.  ``None`` traces nothing.
+    trace_filter: str | None = None
     #: Directory for crash flight-recorder dumps; ``None`` disarms.
     flight_dir: str | None = None
     #: Directory for per-shard cProfile dumps; ``None`` disables.
@@ -118,9 +130,11 @@ _WORLD_CACHE: dict[
 #: ``(scale, seed, plan)`` keys at once should pay rebuilds, not RAM.
 WORLD_CACHE_SIZE = 4
 
-#: Lifetime cache hits/misses for this worker process (observability
-#: and the serve dedupe tests; not part of the shard wire format).
-_WORLD_CACHE_STATS = {"hits": 0, "misses": 0}
+#: The world in-process shards run against (set by
+#: :func:`inline_world`); unset in pool workers, which use the cache.
+_INLINE_WORLD: ContextVar[SyntheticInternet | None] = ContextVar(
+    "inline_world", default=None
+)
 
 #: Per-process flight recorder: the black box this worker dumps when a
 #: shard execution dies.  One ring per process (not per shard) so the
@@ -137,7 +151,6 @@ def _world_for(
     key = (scale, seed, fault_plan, drift)
     world = _WORLD_CACHE.get(key)
     if world is None:
-        _WORLD_CACHE_STATS["misses"] += 1
         # Evict least-recently-used worlds so long-lived pools don't
         # accumulate topologies beyond the budget.
         while len(_WORLD_CACHE) >= WORLD_CACHE_SIZE:
@@ -147,15 +160,28 @@ def _world_for(
             world.install_fault_plan(fault_plan)
         _WORLD_CACHE[key] = world
     else:
-        _WORLD_CACHE_STATS["hits"] += 1
         # Move-to-end marks the key most recently used.
         _WORLD_CACHE[key] = _WORLD_CACHE.pop(key)
     return world
 
 
-def world_cache_stats() -> dict:
-    """This process's world-cache hit/miss counters (a copy)."""
-    return dict(_WORLD_CACHE_STATS)
+@contextmanager
+def inline_world(world: SyntheticInternet, fault_plan: FaultPlan | None = None):
+    """Run this context's in-process shards against ``world``.
+
+    The fault plan is installed for the duration and removed after, so
+    a long-lived world (the study server caches them) stays pristine.
+    The world never joins the per-process cache.
+    """
+    if fault_plan is not None:
+        world.install_fault_plan(fault_plan)
+    token = _INLINE_WORLD.set(world)
+    try:
+        yield
+    finally:
+        _INLINE_WORLD.reset(token)
+        if fault_plan is not None:
+            world.install_fault_plan(None)
 
 
 def _flight_recorder() -> FlightRecorder:
@@ -249,7 +275,9 @@ def _execute_shard(job: ShardJob, flight: FlightRecorder | None) -> dict:
             f"injected failure for shard {job.shard.shard_id} "
             f"(attempt {job.attempt})"
         )
-    world = _world_for(job.scale, job.seed, job.fault_plan, job.drift)
+    world = _INLINE_WORLD.get()
+    if world is None:
+        world = _world_for(job.scale, job.seed, job.fault_plan, job.drift)
     app = MeasurementApplication(world, targets=list(job.targets), quic=job.quic)
     shard = job.shard
     result: dict = {
@@ -262,8 +290,9 @@ def _execute_shard(job: ShardJob, flight: FlightRecorder | None) -> dict:
     # counters exactly: summing them reproduces the sequential totals
     # bit for bit.  Cached worlds outlive shards, so always uninstall.
     registry = MetricsRegistry() if job.observe else None
-    if registry is not None:
-        world.network.set_observability(registry)
+    tracer = PathTracer(match=job.trace_filter) if job.trace_filter else None
+    if registry is not None or tracer is not None:
+        world.network.set_observability(registry, tracer)
     # Likewise a fresh span recorder per shard: its subtree ships back
     # in the result, and a retried shard re-records from scratch.
     spans = None
@@ -276,8 +305,7 @@ def _execute_shard(job: ShardJob, flight: FlightRecorder | None) -> dict:
         world.set_span_recorder(spans)
     # And a fresh event log per shard: no wall stamps (shard events are
     # part of the determinism contract) and the same context map the
-    # span recorder uses, so sequential and sharded runs mint identical
-    # (shard, seq) pairs.  A retried shard re-emits from scratch.
+    # span recorder uses.  A retried shard re-emits from scratch.
     event_log = None
     if job.events:
         event_log = EventLog(
@@ -309,8 +337,8 @@ def _execute_shard(job: ShardJob, flight: FlightRecorder | None) -> dict:
     finally:
         if profiler is not None:
             profiler.disable()
-        if registry is not None:
-            world.network.set_observability(None)
+        if registry is not None or tracer is not None:
+            world.network.set_observability(None, None)
         if spans is not None:
             world.set_span_recorder(None)
         if event_log is not None:
@@ -318,6 +346,9 @@ def _execute_shard(job: ShardJob, flight: FlightRecorder | None) -> dict:
     result["elapsed"] = time.perf_counter() - started
     if registry is not None:
         result["metrics"] = registry.snapshot()
+    if tracer is not None:
+        result["packets"] = [encode_packet_event(event) for event in tracer.events]
+        result["packets_dropped"] = tracer.dropped
     if spans is not None:
         result["spans"] = spans.shard_exports()
     if event_log is not None:

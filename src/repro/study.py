@@ -17,7 +17,6 @@ manifest, exactly as the ``ecnudp report`` command does).
 from __future__ import annotations
 
 import json
-import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -32,16 +31,12 @@ from .core.analysis.tcp_ecn import TCPECNSummary, analyze_tcp_ecn
 from .core.analysis.uncertainty import HeadlineIntervals, headline_intervals
 from .core.analysis.validation import InferenceQuality, validate_study
 from .core.discovery import PoolDiscovery
-from .core.measurement import MeasurementApplication
 from .core.traces import TraceSet, TracerouteCampaign
 from .ioutil import atomic_write_text
 from .obs import (
     DETAIL_EPOCH,
-    EventLog,
-    MetricsRegistry,
     PathTracer,
     RunTelemetry,
-    SpanRecorder,
     canonical_events,
     export_chrome_trace,
     render_events_jsonl,
@@ -84,6 +79,10 @@ class Study:
     #: Longitudinal drift the world was built under (``None`` = the
     #: legacy undrifted world; archives stay byte-identical then).
     drift: EpochDrift | None = None
+    #: Summary of the fault plan the study ran under (``None`` for an
+    #: unfaulted run); :meth:`save` records it as the manifest's
+    #: ``chaos`` caveat whether or not metrics were collected.
+    chaos: dict | None = None
     _cache: dict = field(default_factory=dict, repr=False)
 
     # ------------------------------------------------------------------
@@ -115,19 +114,21 @@ class Study:
     ) -> "Study":
         """Execute the full §3 methodology at the given scale.
 
-        ``workers=0`` (the default) runs the campaign sequentially in
-        this process; ``workers=N`` shards it across ``N`` worker
-        processes via :mod:`repro.runner`.  Both paths produce
-        bit-identical results — hermetic measurement epochs make every
-        trace a pure function of ``(params, trace id)``.
+        The study runs as the shard plan of :mod:`repro.runner`:
+        ``workers=0`` (the default) executes the shards one after
+        another in this process, against this study's world;
+        ``workers=N`` spreads them across ``N`` worker processes.  Both
+        go through the same wire codec and merge, so results are
+        bit-identical by construction — hermetic measurement epochs
+        make every trace a pure function of ``(params, trace id)``.
 
         ``collect_metrics=True`` turns the :mod:`repro.obs` layer on
         for the measurement phase (never discovery, which runs once in
-        the parent either way — so sequential counters equal the sum
-        of shard counters).  ``trace_filter`` installs a
-        :class:`~repro.obs.PathTracer` for matching packets; tracing
-        records per-packet event streams that have no wire encoding,
-        so it requires ``workers=0``.
+        the parent), one registry per shard, merged.  ``trace_filter``
+        records the per-hop history of matching packets on
+        :attr:`tracer` (a :class:`~repro.obs.PathTracer`); each shard
+        traces its own packets and the streams merge in shard order,
+        identically for any ``workers`` value.
 
         ``faults`` turns on the chaos layer (:mod:`repro.faults`): pass
         a chaos-profile name (``"light"`` / ``"default"`` / ``"heavy"``
@@ -135,7 +136,7 @@ class Study:
         :class:`~repro.faults.FaultPlan`.  A named profile is expanded
         into a plan with :func:`~repro.faults.generate_fault_plan`
         seeded by ``chaos_seed``; either way the plan is a pure value,
-        so sequential and sharded chaotic runs stay bit-identical.
+        so chaotic runs stay bit-identical for any ``workers`` value.
 
         ``world`` reuses an existing synthetic Internet instead of
         building one — it must have been built from exactly
@@ -157,19 +158,17 @@ class Study:
         and :meth:`save` exports them as ``events.jsonl``.
         ``event_log`` is the live, wall-clock counterpart: a caller's
         :class:`~repro.obs.EventLog` (the study server's, typically)
-        that the sharded runner narrates shard lifecycle into —
-        dispatch, retries, gang recoveries.  It never joins the
-        determinism contract and is ignored by sequential runs, which
-        have no runner lifecycle to narrate.
+        that the runner narrates shard lifecycle into — dispatch,
+        retries, gang recoveries.  It never joins the determinism
+        contract.
 
         ``record_spans`` turns on the hierarchical span timeline
         (``True`` = epoch detail, or pass a
         :mod:`~repro.obs.spans` detail level); the assembled span list
         lands on :attr:`spans` and is canonically identical for any
         ``workers`` value.  ``obs_dir`` arms crash flight recorders
-        (sharded runs dump ``flight-*.json`` there on worker death or
-        runner recovery) and receives cProfile dumps when ``profile``
-        is on.
+        (``flight-*.json`` dumps on shard death or runner recovery) and
+        receives one cProfile dump per shard when ``profile`` is on.
 
         ``quic=True`` adds the fourth probe family: a QUIC-like
         connection per server performing RFC 9000 §13.4 ECN count
@@ -182,7 +181,7 @@ class Study:
         parameters (:mod:`repro.scenario.timeline`) — what one epoch
         of a campaign (:mod:`repro.campaign`) runs.  The drift is
         recorded in the archive manifest and rides into shard workers,
-        so sharded and sequential drifted runs stay bit-identical and
+        so drifted runs stay bit-identical for any ``workers`` value and
         :meth:`load` rebuilds the same drifted world.  A ``world``
         passed alongside a drift must have been built from exactly
         ``drifted_params(scale, seed, drift)``.
@@ -194,6 +193,7 @@ class Study:
             raise ValueError("profile=True needs obs_dir to write profiles into")
         if pool is not None and workers <= 0:
             raise ValueError("pool= requires workers > 0 (sharded execution)")
+        tracer = PathTracer(match=trace_filter) if trace_filter is not None else None
         if world is None:
             world = SyntheticInternet(drifted_params(scale, seed, drift))
         fault_plan = None
@@ -215,147 +215,45 @@ class Study:
                 world.pool.zone_names(),
             ).run()
             targets = report.addresses
-        if trace_filter is not None and workers > 0:
-            raise ValueError(
-                "packet tracing is sequential-only: trace_filter requires "
-                "workers=0 (per-packet event streams are not shipped back "
-                "from shard workers)"
-            )
-        metrics_snapshot: dict | None = None
-        telemetry: RunTelemetry | None = None
-        tracer: PathTracer | None = None
-        span_list: list | None = None
-        event_list: list | None = None
-        if workers > 0:
-            from .runner import run_study_parallel
+        from .runner import run_study_parallel
 
-            telemetry = RunTelemetry() if collect_metrics else None
-            span_sink: list = []
-            event_sink: list = []
-            traces, campaign = run_study_parallel(
-                scale=scale,
-                seed=seed,
-                workers=workers,
-                targets=targets,
-                world=world,
-                traceroutes=traceroutes,
-                progress=progress,
-                fault_plan=fault_plan,
-                telemetry=telemetry,
-                span_detail=span_detail,
-                span_sink=span_sink if span_detail is not None else None,
-                event_sink=event_sink if collect_events else None,
-                event_log=event_log,
-                flight_dir=obs_dir,
-                profile_dir=obs_dir if profile else None,
-                pool=pool,
-                quic=quic,
-                drift=drift,
-            )
-            if span_detail is not None:
-                span_list = span_sink
-            if collect_events:
-                event_list = event_sink
-            if telemetry is not None:
-                metrics_snapshot = telemetry.metrics
-        else:
-            registry = MetricsRegistry() if collect_metrics else None
-            if trace_filter is not None:
-                tracer = PathTracer(match=trace_filter)
-            if registry is not None or tracer is not None:
-                world.network.set_observability(registry, tracer)
-            recorder = None
-            if span_detail is not None:
-                from .runner.shard import shard_context_map
-
-                # The sequential recorder resolves every epoch through
-                # the full (kind, vantage, batch) -> shard map, so it
-                # mints the same span ids a worker fleet would.
-                recorder = SpanRecorder(
-                    detail=span_detail,
-                    context_map=shard_context_map(
-                        world.params.schedule, traceroutes=traceroutes
-                    ),
-                )
-                world.set_span_recorder(recorder)
-            event_log = None
-            if collect_events:
-                from .runner.shard import shard_context_map
-
-                # Same context-map trick as the span recorder: the
-                # sequential log mints the identical (shard, seq)
-                # pairs a worker fleet would, so merged event streams
-                # compare byte for byte.
-                event_log = EventLog(
-                    stamp_wall=False,
-                    context_map=shard_context_map(
-                        world.params.schedule, traceroutes=traceroutes
-                    ),
-                )
-                world.set_event_log(event_log)
-            if fault_plan is not None:
-                # Installed after discovery, exactly as the parallel
-                # path does (workers install the plan; the parent's
-                # discovery never sees it).
-                world.install_fault_plan(fault_plan)
-            profiler = None
-            if profile:
-                import cProfile
-
-                profiler = cProfile.Profile()
-            started = time.perf_counter()
-            if profiler is not None:
-                profiler.enable()
-            try:
-                app = MeasurementApplication(world, targets=targets, quic=quic)
-                traces = app.run_study(progress=progress)
-                campaign = (
-                    app.run_traceroutes(progress=progress)
-                    if traceroutes
-                    else TracerouteCampaign()
-                )
-            finally:
-                if profiler is not None:
-                    profiler.disable()
-                if registry is not None or tracer is not None:
-                    world.network.set_observability(None, None)
-                if recorder is not None:
-                    world.set_span_recorder(None)
-                if event_log is not None:
-                    world.set_event_log(None)
-                if fault_plan is not None:
-                    # Leave the retained world pristine, matching the
-                    # parent-side world of a sharded run.
-                    world.install_fault_plan(None)
-            if recorder is not None:
-                span_list = recorder.export()
-            if event_log is not None:
-                event_list = event_log.export()
-            if profiler is not None:
-                directory = Path(obs_dir)
-                directory.mkdir(parents=True, exist_ok=True)
-                profiler.dump_stats(directory / "profile-sequential.pstats")
-            if registry is not None:
-                metrics_snapshot = registry.snapshot()
-                telemetry = RunTelemetry(
-                    workers=0,
-                    wall_seconds=time.perf_counter() - started,
-                    metrics=metrics_snapshot,
-                )
-                if fault_plan is not None:
-                    telemetry.chaos = fault_plan.summary()
+        telemetry = RunTelemetry() if collect_metrics else None
+        span_sink: list | None = [] if span_detail is not None else None
+        event_sink: list | None = [] if collect_events else None
+        traces, campaign = run_study_parallel(
+            scale=scale,
+            seed=seed,
+            workers=workers,
+            targets=targets,
+            world=world,
+            traceroutes=traceroutes,
+            progress=progress,
+            fault_plan=fault_plan,
+            telemetry=telemetry,
+            span_detail=span_detail,
+            span_sink=span_sink,
+            event_sink=event_sink,
+            tracer=tracer,
+            event_log=event_log,
+            flight_dir=obs_dir,
+            profile_dir=obs_dir if profile else None,
+            pool=pool,
+            quic=quic,
+            drift=drift,
+        )
         return cls(
             world=world,
             traces=traces,
             campaign=campaign,
             scale=scale,
             seed=seed,
-            metrics=metrics_snapshot,
+            metrics=telemetry.metrics if telemetry is not None else None,
             telemetry=telemetry,
             tracer=tracer,
-            spans=span_list,
-            events=event_list,
+            spans=span_sink,
+            events=event_sink,
             drift=drift,
+            chaos=fault_plan.summary() if fault_plan is not None else None,
         )
 
     # ------------------------------------------------------------------
@@ -468,11 +366,11 @@ class Study:
             # `ecnudp report` re-derive the identical world.  Absent
             # for undrifted runs, keeping legacy archives byte-stable.
             manifest["drift"] = self.drift.to_dict()
-        if self.telemetry is not None and self.telemetry.chaos is not None:
+        if self.chaos is not None:
             # Record that the archived data came from a chaotic run —
             # load() rebuilds a pristine world, so ground-truth
             # comparisons against these traces need this caveat.
-            manifest["chaos"] = self.telemetry.chaos
+            manifest["chaos"] = self.chaos
         atomic_write_text(directory / "manifest.json", json.dumps(manifest))
         self.traces.save(directory / "traces.json")
         self.campaign.save(directory / "traceroutes.json")
@@ -498,9 +396,8 @@ class Study:
             export_spans_json(directory / "spans.json", self.spans)
             export_chrome_trace(self.spans, directory / "trace.json")
         if self.events is not None:
-            # Canonical form (wall stripped, (shard, seq) order), so a
-            # sharded study's events.jsonl is byte-identical to the
-            # sequential one's.
+            # Canonical form (wall stripped, (shard, seq) order), so
+            # events.jsonl is byte-identical for any worker count.
             atomic_write_text(
                 directory / "events.jsonl",
                 render_events_jsonl(canonical_events(self.events)),
@@ -543,4 +440,5 @@ class Study:
             seed=seed,
             spans=spans,
             drift=drift,
+            chaos=manifest.get("chaos"),
         )

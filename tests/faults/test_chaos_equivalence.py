@@ -96,6 +96,15 @@ def test_chaos_recorded_in_telemetry_and_manifest(
     telemetry = json.loads((tmp_path / "archive" / "telemetry.json").read_text())
     assert telemetry["chaos"] == expected
 
+    # The manifest caveat does not depend on metrics collection.
+    unobserved = Study.run(
+        scale=SCALE, seed=SEED, traceroutes=False, faults=fault_plan
+    )
+    assert unobserved.telemetry is None
+    unobserved.save(tmp_path / "unobserved")
+    manifest = json.loads((tmp_path / "unobserved" / "manifest.json").read_text())
+    assert manifest["chaos"] == expected
+
 
 def test_profile_name_accepted_directly():
     study = Study.run(

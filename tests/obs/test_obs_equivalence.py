@@ -165,7 +165,13 @@ class TestObservationIsInert:
         assert document["metrics"] == sequential.metrics
 
 
-class TestTracingGuards:
-    def test_trace_filter_requires_sequential(self):
-        with pytest.raises(ValueError, match="sequential-only"):
-            Study.run(scale=SCALE, seed=SEED, workers=2, trace_filter="udp")
+class TestTracingAcrossWorkers:
+    def test_packet_trace_identical_across_sharding(self):
+        runs = [
+            Study.run(scale=SCALE, seed=SEED, workers=workers, trace_filter="udp and ect0")
+            for workers in (0, 2)
+        ]
+        sequential, sharded = (run.tracer for run in runs)
+        assert sequential.events, "filter matched no packets"
+        assert sharded.events == sequential.events
+        assert sharded.dropped == sequential.dropped

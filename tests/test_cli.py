@@ -110,6 +110,25 @@ class TestStudyAndReport:
         assert dashboard.startswith("<!DOCTYPE html>")
         assert "Phase timing" in dashboard
 
+    def test_study_archive_matches_library_save(self, tmp_path, capsys):
+        from repro.study import Study
+
+        cli_dir = tmp_path / "cli"
+        argv = ["study", "--scale", "0.02", "--quic", "--chaos", "default"]
+        assert main(argv + ["--out", str(cli_dir)]) == 0
+        lib_dir = Study.run(scale=0.02, quic=True, faults="default").save(
+            tmp_path / "lib"
+        )
+
+        def archive(root):
+            return {
+                path.relative_to(root).as_posix(): path.read_bytes()
+                for path in sorted(root.rglob("*"))
+                if path.is_file() and path.name != "telemetry.json"
+            }
+
+        assert archive(cli_dir) == archive(lib_dir)
+
     def test_profile_requires_out(self, capsys):
         assert main(["study", "--scale", "0.02", "--profile"]) == 2
         assert "--profile needs --out" in capsys.readouterr().err
