@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 from ..netsim.ecn import ECN
-from ..obs.spans import CTX_TRACEROUTES, CTX_TRACES, DETAIL_PROBE
+from ..obs.spans import DETAIL_PROBE
 from ..netsim.host import Host
 from ..scenario.internet import SyntheticInternet
 from ..scenario.parameters import ProbeParams, TraceScheduleParams
@@ -249,13 +249,7 @@ class MeasurementApplication:
         for index, entry in enumerate(planned):
             if progress is not None:
                 progress(index, total, entry.vantage_key)
-            if spans:
-                # Attribute this epoch to the shard owning its
-                # (vantage, batch) slice before minting span ids, so
-                # sequential and sharded runs agree on every id.
-                spans.enter_context(CTX_TRACES, entry.vantage_key, entry.batch)
             if events:
-                events.enter_context(CTX_TRACES, entry.vantage_key, entry.batch)
                 # Before begin_epoch, so the epoch-start event precedes
                 # the fault events installed for this epoch.
                 events.emit(
@@ -335,11 +329,8 @@ class MeasurementApplication:
         host = self.world.vantage_hosts[vantage_key]
         dsts = list(targets) if targets is not None else list(self.targets)
         spans = self.world.spans
-        if spans:
-            spans.enter_context(CTX_TRACEROUTES, vantage_key)
         events = self.world.events
         if events:
-            events.enter_context(CTX_TRACEROUTES, vantage_key)
             events.emit(
                 "sweep-start",
                 "debug",

@@ -15,10 +15,18 @@ Three cooperating pieces, all disabled by default and cheap when off:
   merged metric snapshot for one campaign execution, exported next to
   the archival JSON and rendered by ``ecnudp metrics``.
 
-Instrumented call sites are truthiness-gated (``if metrics: ...``), so
-with observability off every hot path pays one predicate and the
-archival output stays byte-identical to an uninstrumented build; see
-DESIGN.md's observability section for the overhead contract.
+Instrumented call sites are truthiness-gated (``if metrics: ...``); a
+disabled recorder is simply ``None``, so with observability off every
+hot path pays one predicate and the archival output stays
+byte-identical to an uninstrumented build; see DESIGN.md's
+observability section for the overhead contract.
+
+Every shard execution gets fresh recorders — a
+:class:`MetricsRegistry`, a :class:`SpanRecorder` and an
+:class:`EventLog` — that observe that shard alone.  The span recorder
+and the event log are given the shard id at construction, so every
+span id and event ``seq`` a shard mints is a pure function of its
+work, whichever process runs it.
 """
 
 from __future__ import annotations
@@ -28,9 +36,7 @@ from .events import (
     DEFAULT_EVENT_CAPACITY,
     EVENTS_FORMAT,
     LEVELS,
-    NULL_EVENTS,
     EventLog,
-    NullEventLog,
     assemble_study_events,
     canonical_events,
     level_rank,
@@ -39,10 +45,8 @@ from .events import (
 )
 from .metrics import (
     DURATION_BOUNDS,
-    NULL_METRICS,
     RTT_BOUNDS,
     MetricsRegistry,
-    NullRegistry,
     empty_snapshot,
     histogram_sum,
     merge_snapshots,
@@ -60,9 +64,7 @@ from .prom import (
 from .spans import (
     DETAIL_EPOCH,
     DETAIL_PROBE,
-    NULL_SPANS,
     ROOT_SPAN_ID,
-    NullSpanRecorder,
     Span,
     SpanRecorder,
     assemble_study_spans,
@@ -103,12 +105,6 @@ __all__ = [
     "LEVELS",
     "METRIC_PREFIX",
     "MetricsRegistry",
-    "NULL_EVENTS",
-    "NULL_METRICS",
-    "NULL_SPANS",
-    "NullEventLog",
-    "NullRegistry",
-    "NullSpanRecorder",
     "PROM_CONTENT_TYPE",
     "PathEvent",
     "PathTracer",

@@ -18,26 +18,22 @@ Design constraints, in the order they shaped the module:
   stamp is quarantined in one field (``wall``) that
   :func:`canonical_events` strips — exactly the
   :data:`~repro.obs.spans._WALL_FIELDS` discipline.
-* **Cheap when off.**  :data:`NULL_EVENTS` is falsey; every emission
-  site is truthiness-gated (``if events: events.emit(...)``).
+* **Cheap when off.**  No log is installed (``None``) and every
+  emission site is truthiness-gated (``if events: events.emit(...)``).
 * **Bounded everywhere.**  The buffer is a ring: old events fall off
   the front, ``seq`` keeps rising, and :meth:`EventLog.since` exposes
   the since-cursor window ``GET /events`` serves.
 
 Correlation model: an :class:`EventLog` is constructed with (or later
 :meth:`~EventLog.bind`-s) context fields — ``run_id``, ``tenant``,
-``shard``, ``epoch`` — that are folded into every event it emits;
-``span_id`` is passed per event by emitters that sit inside a span
-(``SpanRecorder.current_span_id``).
+``shard``, ``epoch`` — that are folded into every event it emits.
 
-Shard attribution reuses the span layer's trick: a log built with a
-``context_map`` (:func:`repro.runner.shard.shard_context_map`)
-resolves :meth:`EventLog.enter_context` calls to shard ids and mints
-**per-shard** ``seq`` numbers — a sequential study interleaving many
-shards' epochs and a worker running one shard assign every event the
-same ``(shard, seq)``, which is what makes the merged stream
-byte-identical for any ``workers`` value.  Rate-limit counters are
-keyed per ``(shard, kind)`` for the same reason.
+Shard attribution: one log observes one shard execution and is given
+the shard id at construction (``EventLog(stamp_wall=False,
+shard=k)``), so its ``seq`` numbers restart at 0 for every shard and
+every event's ``(shard, seq)`` is the same in whichever process runs
+the shard — which is what makes the merged stream byte-identical for
+any ``workers`` value.
 """
 
 from __future__ import annotations
@@ -88,9 +84,6 @@ class EventLog:
         "_events",
         "_first_index_pos",
         "_pos",
-        "_shard_seqs",
-        "_shard",
-        "_context_map",
         "_kind_counts",
         "_dropped",
         "_lock",
@@ -103,7 +96,6 @@ class EventLog:
         min_level: str = "debug",
         kind_limit: int = DEFAULT_KIND_LIMIT,
         stamp_wall: bool = True,
-        context_map: Mapping[tuple[str, str, int], int] | None = None,
         **context,
     ) -> None:
         if capacity <= 0:
@@ -116,12 +108,8 @@ class EventLog:
         self._context = {k: v for k, v in context.items() if v is not None}
         self._events: list[dict] = []
         self._first_index_pos = 0  # stream position of self._events[0]
-        self._pos = 0  # global stream position (the ring/tail cursor)
-        #: Per-shard seq counters, live only when a context map is set.
-        self._shard_seqs: dict[int, int] = {}
-        self._shard: int | None = None
-        self._context_map = dict(context_map) if context_map else None
-        self._kind_counts: dict[tuple[int | None, str], int] = {}
+        self._pos = 0  # stream position: the next event's seq
+        self._kind_counts: dict[str, int] = {}
         self._dropped: dict[str, int] = {}
         self._lock = threading.Lock()
         #: Worker-shard logs set this False: their events must be a
@@ -140,24 +128,6 @@ class EventLog:
                 {k: v for k, v in context.items() if v is not None}
             )
 
-    def enter_context(self, kind: str, vantage_key: str, batch: int = 0) -> None:
-        """Attribute subsequent events to the shard owning this context.
-
-        A no-op without a ``context_map`` (parent/serve/campaign logs
-        have no shard structure).  Mirrors
-        ``SpanRecorder.enter_context``: the sequential study calls this
-        at every epoch boundary, a worker's map only contains its own
-        shard, and both resolve the same shard id.
-        """
-        if self._context_map is None:
-            return
-        try:
-            self._shard = self._context_map[(kind, vantage_key, batch)]
-        except KeyError:
-            raise ValueError(
-                f"no shard owns event context ({kind!r}, {vantage_key!r}, {batch!r})"
-            ) from None
-
     # ------------------------------------------------------------------
     # Emission
     # ------------------------------------------------------------------
@@ -174,21 +144,14 @@ class EventLog:
         if rank < self._min_rank:
             return None
         with self._lock:
-            counter_key = (self._shard, kind)
-            seen = self._kind_counts.get(counter_key, 0) + 1
-            self._kind_counts[counter_key] = seen
+            seen = self._kind_counts.get(kind, 0) + 1
+            self._kind_counts[kind] = seen
             if seen > self.kind_limit:
                 self._dropped[kind] = self._dropped.get(kind, 0) + 1
                 return None
             event = dict(fields)
             event.update(self._context)
-            if self._shard is not None:
-                event["shard"] = self._shard
-                seq = self._shard_seqs.get(self._shard, 0)
-                self._shard_seqs[self._shard] = seq + 1
-            else:
-                seq = self._pos
-            event["seq"] = seq
+            event["seq"] = self._pos
             event["kind"] = kind
             event["level"] = level
             if self._stamp_wall:
@@ -206,11 +169,9 @@ class EventLog:
     # ------------------------------------------------------------------
     @property
     def next_seq(self) -> int:
-        """The next global stream position (the live since-cursor).
+        """The ``seq`` the next event will carry (the live since-cursor).
 
-        For logs without a context map this equals the ``seq`` the
-        next event will carry, so clients can resume from their last
-        seen ``seq + 1``.
+        Clients resume from their last seen ``seq + 1``.
         """
         return self._pos
 
@@ -249,57 +210,11 @@ class EventLog:
             self._events.clear()
             self._kind_counts.clear()
             self._dropped.clear()
-            self._shard_seqs.clear()
-            self._shard = None
             self._pos = 0
             self._first_index_pos = 0
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"EventLog({len(self._events)} events, next_seq={self._pos})"
-
-
-class NullEventLog:
-    """Disabled event log: falsey, every operation a no-op."""
-
-    __slots__ = ()
-
-    def __bool__(self) -> bool:
-        return False
-
-    def bind(self, **context) -> None:
-        pass
-
-    def enter_context(self, kind: str, vantage_key: str, batch: int = 0) -> None:
-        pass
-
-    def emit(self, kind: str, level: str = "info", /, **fields) -> None:
-        return None
-
-    @property
-    def next_seq(self) -> int:
-        return 0
-
-    def since(self, cursor: int, limit: int | None = None) -> list[dict]:
-        return []
-
-    def tail(self, limit: int) -> list[dict]:
-        return []
-
-    def export(self) -> list[dict]:
-        return []
-
-    def dropped(self) -> dict[str, int]:
-        return {}
-
-    def clear(self) -> None:
-        pass
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return "NullEventLog()"
-
-
-#: Shared disabled-event-log sentinel.
-NULL_EVENTS = NullEventLog()
 
 
 # ----------------------------------------------------------------------

@@ -62,10 +62,10 @@ class FlightRecorder:
         Every subsequent :meth:`dump` then embeds the log's bounded
         tail (``event_tail``), so a crash dump carries not just the
         recorder's own span/dispatch ring but the leveled, correlated
-        events the process emitted on the way down.  Falsey logs
-        (``NULL_EVENTS``) are ignored.
+        events the process emitted on the way down.  ``None``
+        detaches.
         """
-        self._event_log = event_log if event_log else None
+        self._event_log = event_log
 
     def __bool__(self) -> bool:
         return True

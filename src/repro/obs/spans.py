@@ -17,12 +17,13 @@ into protocol phases.  Every span carries two clocks:
   excluded from the determinism contract (strip them with
   :func:`canonical_spans` before comparing trees).
 
-Span identifiers are derived from ``(shard_id, sequence counter)``:
-the ``n``-th span recorded while executing shard ``k``'s work is
-``s<k>.<n>`` whichever process runs the shard.  That is what makes
-the merged span forest bit-identical (in canonical form) for every
-worker count — the property ``tests/obs/test_span_equivalence.py``
-enforces.
+One :class:`SpanRecorder` observes one shard execution and is given
+the shard id at construction.  Span identifiers are derived from
+``(shard_id, sequence counter)``: the ``n``-th span recorded while
+executing shard ``k`` is ``s<k>.<n>`` whichever process runs the
+shard.  That is what makes the merged span forest bit-identical (in
+canonical form) for every worker count — the property
+``tests/obs/test_span_equivalence.py`` enforces.
 
 The assembled span list exports to Chrome Trace Event Format
 (:func:`export_chrome_trace`), loadable in Perfetto or
@@ -36,13 +37,11 @@ from contextlib import contextmanager
 from time import perf_counter
 from typing import Callable, Iterable, Mapping
 
+from ..ioutil import atomic_write_text
+
 #: Span detail levels, coarse to fine.
 DETAIL_EPOCH = "epoch"  # study / shard / trace / sweep
 DETAIL_PROBE = "probe"  # ... plus per-server probes and protocol phases
-
-#: Execution-context kinds (match the runner's shard kinds).
-CTX_TRACES = "traces"
-CTX_TRACEROUTES = "traceroutes"
 
 #: Identifier of the synthetic study root span.
 ROOT_SPAN_ID = "root"
@@ -121,13 +120,12 @@ class Span:
 
 
 class SpanRecorder:
-    """Records the span tree of one execution context.
+    """Records the span tree of one shard execution.
 
-    One recorder observes one shard's execution.  ``context_map``
-    translates the measurement application's ``(kind, vantage,
-    batch)`` coordinates into shard ids (built by
-    :func:`repro.runner.shard.shard_context_map`), so identical work
-    mints identical ``(shard_id, seq)`` identifiers in any process.
+    ``shard_id`` is the shard being executed: the recorder opens that
+    shard's span (seq 0) up front and numbers every later span from
+    it, so identical work mints identical ``(shard_id, seq)``
+    identifiers in any process.
 
     Truthiness-gated like :class:`~repro.obs.metrics.MetricsRegistry`:
     instrumented call sites pay one predicate when no recorder is
@@ -138,75 +136,41 @@ class SpanRecorder:
         self,
         clock: Callable[[], float] | None = None,
         detail: str = DETAIL_EPOCH,
-        context_map: Mapping[tuple[str, str, int], int] | None = None,
+        shard_id: int = 0,
         flight=None,
     ) -> None:
         if detail not in (DETAIL_EPOCH, DETAIL_PROBE):
             raise ValueError(f"unknown span detail level: {detail!r}")
         self._clock = clock if clock is not None else (lambda: 0.0)
         self.detail = detail
-        self._context_map = dict(context_map or {})
+        self.shard_id = shard_id
         self._flight = flight
-        #: shard_id -> its (still open) shard span.
-        self._shard_spans: dict[int, Span] = {}
-        #: shard_id -> next sequence number.
-        self._seq: dict[int, int] = {}
-        #: Closed + open spans below the shard level, per shard.
-        self._spans_by_shard: dict[int, list[Span]] = {}
-        #: Open spans of the *current* context, innermost last.
+        shard_span = Span(
+            id=span_id(shard_id, 0),
+            parent=ROOT_SPAN_ID,
+            kind="shard",
+            name=f"shard-{shard_id}",
+            sim_start=0.0,
+            attrs={"shard_id": shard_id},
+        )
+        #: Every span of the shard in recording order, shard span first;
+        #: a span's seq is its index here.
+        self._spans: list[Span] = [shard_span]
+        #: Open spans below the shard span, innermost last.
         self._stack: list[Span] = []
         #: Events recorded while no span is open (fault installation
         #: runs inside ``begin_epoch``, before the epoch span opens);
         #: flushed into the next span that opens.
         self._pending_events: list[tuple[str, float, dict | None]] = []
-        self._shard_id: int | None = None
+        if flight:
+            flight.record("span-open", id=shard_span.id, kind="shard", name=shard_span.name)
 
     def __bool__(self) -> bool:
         return True
 
-    # ------------------------------------------------------------------
-    # Context management
-    # ------------------------------------------------------------------
     def bind_clock(self, clock: Callable[[], float]) -> None:
         """Attach the simulated clock spans read their sim times from."""
         self._clock = clock
-
-    def enter_context(self, kind: str, vantage_key: str, batch: int = 0) -> None:
-        """Switch to the shard owning ``(kind, vantage, batch)`` work.
-
-        Requires every non-shard span of the previous context to be
-        closed (epochs never interleave).  Unknown coordinates fall
-        back to shard 0 so a recorder without a map still works.
-        """
-        if self._stack:
-            raise RuntimeError(
-                "cannot switch span context with open spans: "
-                + " > ".join(span.name for span in self._stack)
-            )
-        shard = self._context_map.get((kind, vantage_key, batch), 0)
-        self._set_shard(shard)
-
-    def _set_shard(self, shard_id: int) -> None:
-        self._shard_id = shard_id
-        if shard_id not in self._shard_spans:
-            seq = self._next_seq(shard_id)
-            span = Span(
-                id=span_id(shard_id, seq),
-                parent=ROOT_SPAN_ID,
-                kind="shard",
-                name=f"shard-{shard_id}",
-                sim_start=0.0,
-                attrs={"shard_id": shard_id},
-            )
-            self._shard_spans[shard_id] = span
-            self._spans_by_shard[shard_id] = [span]
-            if self._flight:
-                self._flight.record("span-open", id=span.id, kind="shard", name=span.name)
-
-    def _next_seq(self, shard_id: int) -> int:
-        seq = self._seq.get(shard_id, 0)
-        self._seq[shard_id] = seq + 1
-        return seq
 
     # ------------------------------------------------------------------
     # Recording
@@ -214,13 +178,10 @@ class SpanRecorder:
     @contextmanager
     def span(self, kind: str, name: str, **attrs):
         """Open a child span of the innermost open span (or the shard)."""
-        if self._shard_id is None:
-            self._set_shard(0)
-        shard = self._shard_id
-        parent = self._stack[-1].id if self._stack else self._shard_spans[shard].id
+        parent = self._stack[-1] if self._stack else self._spans[0]
         span = Span(
-            id=span_id(shard, self._next_seq(shard)),
-            parent=parent,
+            id=span_id(self.shard_id, len(self._spans)),
+            parent=parent.id,
             kind=kind,
             name=name,
             sim_start=self._clock(),
@@ -229,7 +190,7 @@ class SpanRecorder:
         for event_name, sim_time, event_attrs in self._pending_events:
             span.add_event(event_name, sim_time, event_attrs)
         self._pending_events.clear()
-        self._spans_by_shard[shard].append(span)
+        self._spans.append(span)
         self._stack.append(span)
         if self._flight:
             self._flight.record("span-open", id=span.id, kind=kind, name=name)
@@ -263,85 +224,41 @@ class SpanRecorder:
         if self._stack:
             self._stack[-1].attrs.update(attrs)
 
-    @property
-    def current_span_id(self) -> str | None:
-        """Id of the innermost open span — the event-log correlation id."""
-        return self._stack[-1].id if self._stack else None
-
     # ------------------------------------------------------------------
     # Export
     # ------------------------------------------------------------------
-    def shard_exports(self) -> dict[int, list[dict]]:
-        """Per-shard span subtrees (shard span first), JSON-safe.
+    def shard_export(self) -> list[dict]:
+        """The shard's span subtree (shard span first), JSON-safe.
 
         The shard span's simulated interval is synthesized from its
         children, so recording order cannot define it.
         """
-        exports: dict[int, list[dict]] = {}
-        for shard_id, spans in self._spans_by_shard.items():
-            shard_span = self._shard_spans[shard_id]
-            shard_span._wall_ms = sum(s._wall_ms for s in spans if s is not shard_span)
-            children = [s for s in spans if s is not shard_span]
-            if children:
-                shard_span.sim_start = min(s.sim_start for s in children)
-                shard_span.sim_end = max(s.sim_end for s in children)
-            exports[shard_id] = [span.to_dict() for span in spans]
-        return exports
+        shard_span, *children = self._spans
+        shard_span._wall_ms = sum(s._wall_ms for s in children)
+        if children:
+            shard_span.sim_start = min(s.sim_start for s in children)
+            shard_span.sim_end = max(s.sim_end for s in children)
+        return [span.to_dict() for span in self._spans]
 
     def export(self) -> list[dict]:
         """The full study span list (root first) of this recorder."""
-        return assemble_study_spans(self.shard_exports())
-
-
-class NullSpanRecorder:
-    """Disabled recorder: falsey, every operation a no-op."""
-
-    __slots__ = ()
-    detail = DETAIL_EPOCH
-
-    def __bool__(self) -> bool:
-        return False
-
-    def bind_clock(self, clock) -> None:
-        pass
-
-    def enter_context(self, kind: str, vantage_key: str, batch: int = 0) -> None:
-        pass
-
-    @contextmanager
-    def span(self, kind: str, name: str, **attrs):
-        yield None
-
-    def event(self, name: str, **attrs) -> None:
-        pass
-
-    def annotate(self, **attrs) -> None:
-        pass
-
-    @property
-    def current_span_id(self) -> None:
-        return None
-
-
-#: Shared disabled-recorder sentinel.
-NULL_SPANS = NullSpanRecorder()
+        return assemble_study_spans({self.shard_id: self.shard_export()})
 
 
 # ----------------------------------------------------------------------
 # Assembly and comparison
 # ----------------------------------------------------------------------
-def assemble_study_spans(shard_exports: Mapping[int, list[dict]]) -> list[dict]:
+def assemble_study_spans(by_shard: Mapping[int, list[dict]]) -> list[dict]:
     """Merge per-shard span subtrees under a synthetic study root.
 
-    This is the single assembly path shared by the sequential recorder
-    (:meth:`SpanRecorder.export`) and the parallel runner's merge of
-    worker-shipped subtrees, so the two modes produce structurally
-    identical documents by construction: spans sorted by
-    ``(shard_id, seq)``, root first.
+    This is the single assembly path shared by one recorder's
+    :meth:`SpanRecorder.export` and the runner's merge of shipped
+    subtrees, so both produce structurally identical documents by
+    construction: spans sorted by ``(shard_id, seq)``, root first.
     """
     spans: list[dict] = []
-    for shard_id in sorted(shard_exports):
-        spans.extend(shard_exports[shard_id])
+    for shard_id in sorted(by_shard):
+        spans.extend(by_shard[shard_id])
     root: dict = {
         "id": ROOT_SPAN_ID,
         "parent": None,
@@ -439,18 +356,17 @@ def chrome_trace_events(spans: Iterable[Mapping]) -> list[dict]:
 
 
 def export_chrome_trace(spans: Iterable[Mapping], path) -> dict:
-    """Write ``trace.json`` (Chrome Trace Event Format); returns it.
+    """Write ``trace.json`` (Chrome Trace Event Format) atomically; returns it.
 
     Load the file in Perfetto (https://ui.perfetto.dev) or
     ``chrome://tracing`` to browse the campaign timeline.
     """
     import json
-    from pathlib import Path
 
     document = {
         "displayTimeUnit": "ms",
         "otherData": {"clock": "simulated", "generator": "repro.obs.spans"},
         "traceEvents": chrome_trace_events(spans),
     }
-    Path(path).write_text(json.dumps(document, indent=1))
+    atomic_write_text(path, json.dumps(document, indent=1))
     return document

@@ -49,8 +49,7 @@ from ..scenario.timeline import EpochDrift, drifted_params
 from .merge import (
     MergeError,
     WIRE_FORMAT,
-    collect_shard_events,
-    collect_shard_spans,
+    by_shard,
     decode_path,
     decode_trace,
     encode_path,
@@ -62,7 +61,7 @@ from .merge import (
 from .pool import SharedWorkerPool
 from .progress import ProgressAggregator, ProgressOverflowError
 from .scheduler import RetryPolicy, ShardExecutionError, ShardScheduler
-from .shard import KIND_TRACEROUTES, KIND_TRACES, Shard, plan_shards, shard_context_map
+from .shard import KIND_TRACEROUTES, KIND_TRACES, Shard, plan_shards
 from .worker import (
     FAULT_EXIT,
     FAULT_HANG,
@@ -92,8 +91,7 @@ __all__ = [
     "ShardScheduler",
     "SharedWorkerPool",
     "WIRE_FORMAT",
-    "collect_shard_events",
-    "collect_shard_spans",
+    "by_shard",
     "decode_path",
     "decode_trace",
     "encode_path",
@@ -104,7 +102,6 @@ __all__ = [
     "merge_traces",
     "plan_shards",
     "run_study_parallel",
-    "shard_context_map",
 ]
 
 
@@ -300,20 +297,11 @@ def run_study_parallel(
         telemetry.runner = runner_metrics.snapshot()["counters"]
         if fault_plan is not None:
             telemetry.chaos = fault_plan.summary()
-        # Completion order must not influence the merged metrics, and
-        # a shard observed twice (gang recovery races) must count once.
-        by_shard = {}
-        for result in results:
-            if "metrics" in result:
-                by_shard.setdefault(result["shard_id"], result["metrics"])
-        telemetry.merge_metrics(
-            by_shard[shard_id] for shard_id in sorted(by_shard)
-        )
+        telemetry.merge_metrics(by_shard(results, "metrics").values())
     if span_sink is not None and span_detail is not None:
-        # Same dedup-by-shard discipline as metrics.
-        span_sink.extend(assemble_study_spans(collect_shard_spans(results)))
+        span_sink.extend(assemble_study_spans(by_shard(results, "spans")))
     if event_sink is not None:
-        event_sink.extend(assemble_study_events(collect_shard_events(results)))
+        event_sink.extend(assemble_study_events(by_shard(results, "events")))
     if tracer is not None:
         merge_packet_traces(results, tracer)
     traces = merge_traces(

@@ -168,41 +168,21 @@ def merge_traces(
     return trace_set
 
 
-def collect_shard_spans(results: Iterable[dict]) -> dict[int, list[dict]]:
-    """Gather per-shard span subtrees from wire results, deduplicated.
+def by_shard(results: Iterable[dict], key: str) -> dict[int, object]:
+    """``result[key]`` of the first result per shard, in shard-id order.
 
-    Workers ship their span recorder's
-    :meth:`~repro.obs.SpanRecorder.shard_exports` under the ``spans``
-    key.  A shard observed twice (gang-recovery races) contributes one
-    subtree — either copy is canonically identical by the span
-    determinism contract.  Feed the result to
-    :func:`repro.obs.assemble_study_spans`.
+    The one by-shard merge behind metrics, spans, events and packet
+    traces.  Completion order cannot influence it, and a shard observed
+    twice (a gang-recovery race delivers both copies) counts once —
+    either copy is identical by the epoch determinism contract.
+    Results without ``key`` are skipped.
     """
-    by_shard: dict[int, list[dict]] = {}
+    first: dict[int, object] = {}
     for result in results:
         _check_format(result)
-        for shard_id, spans in result.get("spans", {}).items():
-            by_shard.setdefault(int(shard_id), spans)
-    return by_shard
-
-
-def collect_shard_events(results: Iterable[dict]) -> dict[int, list[dict]]:
-    """Gather per-shard event buffers from wire results, deduplicated.
-
-    Workers ship their event log's export under the ``events`` key.
-    The same setdefault discipline as :func:`collect_shard_spans`: a
-    shard observed twice contributes one buffer — either copy is
-    identical by the event determinism contract (per-shard seqs, no
-    wall stamps).  Feed the result to
-    :func:`repro.obs.assemble_study_events`.
-    """
-    by_shard: dict[int, list[dict]] = {}
-    for result in results:
-        _check_format(result)
-        events = result.get("events")
-        if events:
-            by_shard.setdefault(int(result["shard_id"]), events)
-    return by_shard
+        if key in result:
+            first.setdefault(result["shard_id"], result[key])
+    return {shard_id: first[shard_id] for shard_id in sorted(first)}
 
 
 def merge_packet_traces(results: Iterable[dict], tracer: PathTracer) -> None:
@@ -211,21 +191,15 @@ def merge_packet_traces(results: Iterable[dict], tracer: PathTracer) -> None:
     Each shard traced under the default :class:`PathTracer` limit, so
     applying ``tracer.limit`` here, after the merge, keeps exactly the
     events — and counts exactly the drops — of one tracer watching the
-    shards run one after another.  A shard observed twice counts once.
+    shards run one after another.
     """
-    by_shard: dict[int, dict] = {}
-    for result in results:
-        _check_format(result)
-        if "packets" in result:
-            by_shard.setdefault(int(result["shard_id"]), result)
-    for shard_id in sorted(by_shard):
-        result = by_shard[shard_id]
-        for row in result["packets"]:
+    for packets in by_shard(results, "packets").values():
+        for row in packets["events"]:
             if len(tracer.events) < tracer.limit:
                 tracer.events.append(PathEvent(*row))
             else:
                 tracer.dropped += 1
-        tracer.dropped += result["packets_dropped"]
+        tracer.dropped += packets["dropped"]
 
 
 def merge_campaign(

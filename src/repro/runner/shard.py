@@ -63,23 +63,6 @@ class Shard:
         return f"{self.vantage_key} (traceroutes)"
 
 
-def shard_context_map(
-    schedule: TraceScheduleParams,
-) -> dict[tuple[str, str, int], int]:
-    """Map ``(kind, vantage, batch)`` execution contexts to shard ids.
-
-    This is how the span recorder and event log attribute work to
-    shards without the measurement application knowing about
-    sharding: ids minted while executing a shard are a pure function
-    of the schedule, whichever process runs it.  Traceroute contexts
-    use batch 0 (sweeps have no batch).
-    """
-    return {
-        (shard.kind, shard.vantage_key, shard.batch): shard.shard_id
-        for shard in plan_shards(schedule)
-    }
-
-
 def plan_shards(
     schedule: TraceScheduleParams,
     traceroutes: bool = True,

@@ -47,7 +47,7 @@ from ..obs.tracing import PathTracer
 from ..scenario.internet import SyntheticInternet
 from ..scenario.timeline import EpochDrift, drifted_params
 from .merge import WIRE_FORMAT, encode_packet_event, encode_path, encode_trace
-from .shard import KIND_TRACES, Shard, shard_context_map
+from .shard import KIND_TRACES, Shard
 
 #: Fault kinds understood by :func:`execute_shard`.
 FAULT_RAISE = "raise"
@@ -298,20 +298,15 @@ def _execute_shard(job: ShardJob, flight: FlightRecorder | None) -> dict:
     spans = None
     if job.span_detail is not None:
         spans = SpanRecorder(
-            detail=job.span_detail,
-            context_map=shard_context_map(world.params.schedule),
-            flight=flight,
+            detail=job.span_detail, shard_id=shard.shard_id, flight=flight
         )
         world.set_span_recorder(spans)
     # And a fresh event log per shard: no wall stamps (shard events are
-    # part of the determinism contract) and the same context map the
-    # span recorder uses.  A retried shard re-emits from scratch.
+    # part of the determinism contract).  A retried shard re-emits
+    # from scratch.
     event_log = None
     if job.events:
-        event_log = EventLog(
-            stamp_wall=False,
-            context_map=shard_context_map(world.params.schedule),
-        )
+        event_log = EventLog(stamp_wall=False, shard=shard.shard_id)
         world.set_event_log(event_log)
     if flight is not None:
         # (Re)attach per job — also detaches a previous shard's log
@@ -347,10 +342,12 @@ def _execute_shard(job: ShardJob, flight: FlightRecorder | None) -> dict:
     if registry is not None:
         result["metrics"] = registry.snapshot()
     if tracer is not None:
-        result["packets"] = [encode_packet_event(event) for event in tracer.events]
-        result["packets_dropped"] = tracer.dropped
+        result["packets"] = {
+            "events": [encode_packet_event(event) for event in tracer.events],
+            "dropped": tracer.dropped,
+        }
     if spans is not None:
-        result["spans"] = spans.shard_exports()
+        result["spans"] = spans.shard_export()
     if event_log is not None:
         result["events"] = event_log.export()
     if profiler is not None:

@@ -2,7 +2,7 @@
 
 The contracts under test mirror the module docstring: leveled
 filtering, deterministic per-kind rate limiting, the bounded ring with
-a stable since-cursor, shard attribution through a context map, and
+a stable since-cursor, shard attribution given at construction, and
 the canonical (wall-stripped, ``(shard, seq)``-ordered) form the
 equivalence suite and ``events.jsonl`` rely on.
 """
@@ -10,9 +10,7 @@ equivalence suite and ``events.jsonl`` rely on.
 import pytest
 
 from repro.obs import (
-    NULL_EVENTS,
     EventLog,
-    NullEventLog,
     assemble_study_events,
     canonical_events,
     parse_events_jsonl,
@@ -70,6 +68,9 @@ class TestEmission:
     def test_stamp_wall_off_omits_wall(self):
         log = EventLog(stamp_wall=False)
         assert "wall" not in log.emit("x")
+
+    def test_real_log_is_truthy_even_when_empty(self):
+        assert EventLog()
 
 
 class TestRateLimit:
@@ -130,36 +131,27 @@ class TestRingAndCursor:
 
 
 class TestShardAttribution:
-    CONTEXT_MAP = {("trace", "vp-0", 0): 0, ("trace", "vp-1", 0): 1}
-
-    def test_context_map_mints_per_shard_seqs(self):
-        log = EventLog(stamp_wall=False, context_map=self.CONTEXT_MAP)
-        log.enter_context("trace", "vp-0", 0)
-        log.emit("a")
-        log.enter_context("trace", "vp-1", 0)
-        log.emit("b")
-        log.enter_context("trace", "vp-0", 0)
-        log.emit("c")
+    def test_shard_log_numbers_its_events_from_zero(self):
+        log = EventLog(stamp_wall=False, shard=3)
+        for kind in ("a", "b", "a"):
+            log.emit(kind)
         seqs = [(e["shard"], e["seq"]) for e in log.export()]
-        assert seqs == [(0, 0), (1, 0), (0, 1)]
-
-    def test_unknown_context_is_loud(self):
-        log = EventLog(context_map=self.CONTEXT_MAP)
-        with pytest.raises(ValueError, match="no shard owns"):
-            log.enter_context("trace", "vp-9", 0)
+        assert seqs == [(3, 0), (3, 1), (3, 2)]
+        assert all("wall" not in e for e in log.export())
 
     def test_rate_limit_is_per_shard(self):
-        log = EventLog(kind_limit=1, context_map=self.CONTEXT_MAP)
-        log.enter_context("trace", "vp-0", 0)
+        log = EventLog(kind_limit=1, stamp_wall=False, shard=3)
         assert log.emit("x") is not None
         assert log.emit("x") is None
-        log.enter_context("trace", "vp-1", 0)
-        assert log.emit("x") is not None
+        assert log.emit("y") is not None
+        # A dropped event consumes no seq.
+        assert [(e["shard"], e["seq"]) for e in log.export()] == [(3, 0), (3, 1)]
+        assert log.dropped() == {"x": 1}
+        # Another shard's log has its own budget.
+        assert EventLog(kind_limit=1, stamp_wall=False, shard=4).emit("x") is not None
 
-    def test_enter_context_noop_without_map(self):
-        log = EventLog()
-        log.enter_context("trace", "vp-0", 0)
-        assert "shard" not in log.emit("x")
+    def test_log_without_shard_carries_no_shard_field(self):
+        assert "shard" not in EventLog().emit("x")
 
 
 class TestCanonicalForm:
@@ -193,20 +185,3 @@ class TestCanonicalForm:
             parse_events_jsonl('{"seq": 0}\nnot json\n')
         with pytest.raises(ValueError, match="not an object"):
             parse_events_jsonl("[1, 2]\n")
-
-
-class TestNullEventLog:
-    def test_falsey_and_inert(self):
-        assert not NULL_EVENTS
-        assert isinstance(NULL_EVENTS, NullEventLog)
-        assert NULL_EVENTS.emit("x", "alert", a=1) is None
-        NULL_EVENTS.bind(run_id="r")
-        NULL_EVENTS.enter_context("trace", "vp-0", 0)
-        assert NULL_EVENTS.export() == []
-        assert NULL_EVENTS.since(0) == []
-        assert NULL_EVENTS.tail(5) == []
-        assert NULL_EVENTS.next_seq == 0
-        assert NULL_EVENTS.dropped() == {}
-
-    def test_real_log_is_truthy_even_when_empty(self):
-        assert EventLog()

@@ -1,13 +1,13 @@
 """Unit tests for the hierarchical span recorder and its exports."""
 
 import json
+import os
 
 import pytest
 
 from repro.obs import (
     DETAIL_EPOCH,
     DETAIL_PROBE,
-    NULL_SPANS,
     ROOT_SPAN_ID,
     SpanRecorder,
     assemble_study_spans,
@@ -27,11 +27,11 @@ class FakeClock:
         return self.now
 
 
-def recorder(clock=None, detail=DETAIL_EPOCH, context_map=None, flight=None):
+def recorder(clock=None, detail=DETAIL_EPOCH, shard_id=0, flight=None):
     return SpanRecorder(
         clock=clock or FakeClock(),
         detail=detail,
-        context_map=context_map,
+        shard_id=shard_id,
         flight=flight,
     )
 
@@ -41,32 +41,33 @@ class TestSpanIds:
         assert span_id(3, 7) == "s3.7"
 
     def test_sequence_counters_are_per_shard(self):
-        rec = recorder(context_map={("traces", "a", 0): 1, ("traces", "b", 0): 2})
-        rec.enter_context("traces", "a")
-        with rec.span("trace", "t0"):
+        # One recorder per shard execution: each numbers its own spans.
+        other = recorder(shard_id=1)
+        with other.span("trace", "elsewhere"):
             pass
-        rec.enter_context("traces", "b")
+        rec = recorder(shard_id=3)
+        with rec.span("trace", "t0"):
+            with rec.span("probe", "p"):
+                pass
         with rec.span("trace", "t1"):
             pass
-        rec.enter_context("traces", "a")
-        with rec.span("trace", "t2"):
-            pass
-        ids = [s["id"] for s in rec.export()]
-        # Each shard span is seq 0 of its shard; epochs continue from 1.
-        assert ids == [ROOT_SPAN_ID, "s1.0", "s1.1", "s1.2", "s2.0", "s2.1"]
+        spans = rec.export()
+        # The shard span is seq 0; every later span continues from 1.
+        assert [s["id"] for s in spans] == [
+            ROOT_SPAN_ID, "s3.0", "s3.1", "s3.2", "s3.3"
+        ]
+        shard = spans[1]
+        assert (shard["kind"], shard["name"]) == ("shard", "shard-3")
+        assert shard["attrs"] == {"shard_id": 3}
+        assert spans[3]["parent"] == "s3.1"
+        assert spans[4]["parent"] == "s3.0"
+        assert [s["id"] for s in other.shard_export()] == ["s1.0", "s1.1"]
 
-    def test_unknown_context_falls_back_to_shard_zero(self):
-        rec = recorder(context_map={})
-        rec.enter_context("traces", "nowhere", batch=9)
+    def test_shard_export_is_the_subtree_without_root(self):
+        rec = recorder(shard_id=5)
         with rec.span("trace", "t"):
             pass
-        assert [s["id"] for s in rec.export()] == [ROOT_SPAN_ID, "s0.0", "s0.1"]
-
-    def test_context_switch_with_open_span_is_an_error(self):
-        rec = recorder()
-        with rec.span("trace", "t"):
-            with pytest.raises(RuntimeError, match="open spans"):
-                rec.enter_context("traces", "a")
+        assert [s["id"] for s in rec.shard_export()] == ["s5.0", "s5.1"]
 
 
 class TestRecording:
@@ -114,13 +115,6 @@ class TestRecording:
         with pytest.raises(ValueError, match="unknown span detail"):
             SpanRecorder(detail="nanosecond")
         assert recorder(detail=DETAIL_PROBE).detail == DETAIL_PROBE
-
-    def test_null_recorder_is_falsey_and_inert(self):
-        assert not NULL_SPANS
-        NULL_SPANS.event("x")
-        NULL_SPANS.annotate(a=1)
-        with NULL_SPANS.span("trace", "t") as span:
-            assert span is None
 
 
 class TestAssembly:
@@ -212,6 +206,24 @@ class TestChromeTrace:
         t0 = next(e for e in events if e.get("name") == "t0" and e["ph"] == "X")
         assert t0["ts"] == pytest.approx(1.0e6)
         assert t0["dur"] == pytest.approx(1.5e6)
+
+    def test_failed_export_leaves_previous_trace_intact(self, tmp_path, monkeypatch):
+        # trace.json is written like every other artefact: to a temp
+        # file moved into place, so a reader never sees a partial file.
+        path = tmp_path / "trace.json"
+        path.write_text("previous")
+        spans = [{"id": ROOT_SPAN_ID, "parent": None, "kind": "study",
+                  "name": "study", "sim_start": 0.0, "sim_end": 1.0,
+                  "wall_ms": 0.0}]
+
+        def failing_replace(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(os, "replace", failing_replace)
+        with pytest.raises(OSError, match="disk full"):
+            export_chrome_trace(spans, path)
+        assert path.read_text() == "previous"
+        assert [p.name for p in tmp_path.iterdir()] == ["trace.json"]
 
     def test_export_writes_a_loadable_document(self, tmp_path):
         path = tmp_path / "trace.json"

@@ -4,16 +4,28 @@ import pytest
 
 from repro.core.measurement import trace_plan
 from repro.core.traces import HopObservation, PathTrace, ProbeOutcome, Trace
+from repro.obs import (
+    EventLog,
+    MetricsRegistry,
+    PathTracer,
+    SpanRecorder,
+    assemble_study_events,
+    assemble_study_spans,
+    canonical_events,
+    merge_snapshots,
+)
 from repro.runner import (
     KIND_TRACEROUTES,
     KIND_TRACES,
     MergeError,
     WIRE_FORMAT,
+    by_shard,
     decode_path,
     decode_trace,
     encode_path,
     encode_trace,
     merge_campaign,
+    merge_packet_traces,
     merge_traces,
     plan_shards,
 )
@@ -184,3 +196,81 @@ class TestMerge:
             )
         with pytest.raises(MergeError):
             merge_campaign([self._result(fmt="bogus/9")], vantage_order=[])
+
+
+def _observed_result(shard_id: int) -> dict:
+    """A shard result carrying every per-shard observability payload."""
+    metrics = MetricsRegistry()
+    metrics.incr("app.traces_run")
+    spans = SpanRecorder(shard_id=shard_id)
+    with spans.span("trace", f"trace-{shard_id}"):
+        pass
+    events = EventLog(stamp_wall=False, shard=shard_id)
+    events.emit("epoch-start", "debug", epoch=shard_id)
+    packet = [float(shard_id), 1, 2, 17, shard_id, "r1", "forward", 2, 2]
+    return {
+        "format": WIRE_FORMAT,
+        "shard_id": shard_id,
+        "kind": KIND_TRACES,
+        "metrics": metrics.snapshot(),
+        "spans": spans.shard_export(),
+        "events": events.export(),
+        "packets": {"events": [packet], "dropped": 1},
+    }
+
+
+class TestByShardMerge:
+    """The one by-shard merge behind metrics, spans, events and packets."""
+
+    def _results(self):
+        # Shuffled completion order, and shard 1 delivered twice — what
+        # a gang recovery racing a slow first attempt produces.
+        return [_observed_result(shard_id) for shard_id in (2, 1, 0, 1)]
+
+    def test_first_copy_per_shard_in_shard_id_order(self):
+        results = self._results()
+        results[3] = dict(results[3], metrics={"counters": {"late": 1}, "gauges": {}})
+        merged = by_shard(results, "metrics")
+        assert list(merged) == [0, 1, 2]
+        assert merged[1] == results[1]["metrics"]
+
+    def test_results_without_the_key_are_skipped(self):
+        results = self._results()
+        del results[0]["spans"]
+        assert list(by_shard(results, "spans")) == [0, 1]
+
+    def test_unknown_wire_format_rejected(self):
+        with pytest.raises(MergeError):
+            by_shard([dict(_observed_result(0), format="bogus/9")], "metrics")
+
+    def test_metrics_count_a_duplicated_shard_once(self):
+        merged = merge_snapshots(by_shard(self._results(), "metrics").values())
+        assert merged["counters"]["app.traces_run"] == 3
+
+    def test_spans_count_a_duplicated_shard_once(self):
+        spans = assemble_study_spans(by_shard(self._results(), "spans"))
+        assert [s["id"] for s in spans] == [
+            "root", "s0.0", "s0.1", "s1.0", "s1.1", "s2.0", "s2.1"
+        ]
+
+    def test_events_count_a_duplicated_shard_once(self):
+        events = canonical_events(
+            assemble_study_events(by_shard(self._results(), "events"))
+        )
+        assert [(e["shard"], e["seq"], e["epoch"]) for e in events] == [
+            (0, 0, 0),
+            (1, 0, 1),
+            (2, 0, 2),
+        ]
+
+    def test_packet_trace_counts_a_duplicated_shard_once(self):
+        tracer = PathTracer(match="udp")
+        merge_packet_traces(self._results(), tracer)
+        assert [event.ident for event in tracer.events] == [0, 1, 2]
+        assert tracer.dropped == 3
+
+    def test_packet_limit_applies_after_the_merge(self):
+        tracer = PathTracer(match="udp", limit=2)
+        merge_packet_traces(self._results(), tracer)
+        assert [event.ident for event in tracer.events] == [0, 1]
+        assert tracer.dropped == 4
