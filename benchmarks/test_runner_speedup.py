@@ -16,6 +16,7 @@ more than a small tolerance; the printed ratio is the artefact.
 import time
 
 from repro.obs import RunTelemetry
+from repro.options import RunOptions
 from repro.runner import run_study_parallel
 from repro.study import Study
 
@@ -31,14 +32,13 @@ def test_sharded_speedup(benchmark):
         t1 = time.perf_counter()
         telemetry = RunTelemetry()
         traces, campaign = run_study_parallel(
-            scale=SPEEDUP_SCALE,
-            seed=BENCH_SEED,
-            workers=WORKERS,
+            # Timing only: collect_metrics stays off, since worker-side
+            # metric registries would tax the parallel side of a
+            # comparison the sequential side escapes.
+            RunOptions(scale=SPEEDUP_SCALE, seed=BENCH_SEED),
+            WORKERS,
             targets=sequential.traces.server_addrs,
-            # Timing only: worker-side metric registries would tax the
-            # parallel side of a comparison the sequential side escapes.
             telemetry=telemetry,
-            observe=False,
         )
         t2 = time.perf_counter()
         return sequential, traces, campaign, t1 - t0, t2 - t1, telemetry

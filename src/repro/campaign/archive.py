@@ -37,7 +37,6 @@ re-running or mis-merging.
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import json
 import shutil
@@ -45,8 +44,8 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 from pathlib import Path
 
-from ..faults.profiles import PROFILES
 from ..ioutil import atomic_write_text
+from ..options import OptionsError, RunOptions
 from ..scenario.timeline import (
     PAPER_YEAR,
     EpochDrift,
@@ -72,6 +71,11 @@ class CampaignError(ValueError):
     """A campaign archive that cannot be used (missing/corrupt/foreign)."""
 
 
+#: The ``campaign.json`` spec keys that are study options (``chaos``
+#: names the options' ``faults`` profile).
+_STUDY_KEYS = ("scale", "seed", "chaos", "chaos_seed", "quic", "traceroutes")
+
+
 @dataclass(frozen=True)
 class CampaignSpec:
     """Everything that makes a campaign's epochs reproducible.
@@ -94,8 +98,7 @@ class CampaignSpec:
     traceroutes: bool = True
 
     def __post_init__(self) -> None:
-        if not 0 < self.scale <= 1:
-            raise CampaignError(f"scale must be in (0, 1]: {self.scale!r}")
+        _ = self.options  # validates the study fields
         if self.cadence_years <= 0:
             raise CampaignError(
                 f"cadence_years must be > 0: {self.cadence_years!r}"
@@ -104,11 +107,21 @@ class CampaignSpec:
             timeline_by_name(self.timeline)
         except ValueError as exc:
             raise CampaignError(str(exc)) from exc
-        if self.chaos is not None and self.chaos not in PROFILES:
-            known = ", ".join(sorted(PROFILES))
-            raise CampaignError(
-                f"unknown chaos profile {self.chaos!r}; one of: {known}"
+
+    @property
+    def options(self) -> RunOptions:
+        """The study options every epoch runs under (plus its drift)."""
+        try:
+            return RunOptions(
+                scale=self.scale,
+                seed=self.seed,
+                traceroutes=self.traceroutes,
+                quic=self.quic,
+                faults=self.chaos,
+                chaos_seed=self.chaos_seed,
             )
+        except OptionsError as exc:
+            raise CampaignError(str(exc)) from exc
 
     @property
     def timeline_obj(self) -> Timeline:
@@ -146,18 +159,22 @@ class CampaignSpec:
     def from_dict(cls, payload: Mapping) -> "CampaignSpec":
         if not isinstance(payload, Mapping):
             raise CampaignError(f"campaign spec must be an object: {payload!r}")
+        study = {key: payload[key] for key in _STUDY_KEYS if key in payload}
+        if "chaos" in study:
+            study["faults"] = study.pop("chaos")
         try:
+            options = RunOptions.from_dict(study)
             return cls(
-                scale=float(payload.get("scale", 0.1)),
-                seed=int(payload.get("seed", 20150401)),
+                scale=options.scale,
+                seed=options.seed,
                 start_year=float(payload.get("start_year", PAPER_YEAR)),
                 cadence_years=float(payload.get("cadence_years", 1.0)),
                 timeline=str(payload.get("timeline", "fresh-look")),
                 pool_churn=bool(payload.get("pool_churn", True)),
-                chaos=payload.get("chaos"),
-                chaos_seed=int(payload.get("chaos_seed", 0)),
-                quic=bool(payload.get("quic", False)),
-                traceroutes=bool(payload.get("traceroutes", True)),
+                chaos=options.faults,
+                chaos_seed=options.chaos_seed,
+                quic=options.quic,
+                traceroutes=options.traceroutes,
             )
         except (TypeError, ValueError) as exc:
             if isinstance(exc, CampaignError):

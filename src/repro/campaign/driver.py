@@ -237,22 +237,15 @@ class CampaignDriver:
 
         Separated out so tests can substitute a fast deterministic
         fake while exercising the real checkpoint/rename/merge
-        machinery around it.  ``collect_metrics`` stays off: telemetry
-        carries wall-clock timings, which would break byte-identity
-        between interrupted and uninterrupted campaigns.
+        machinery around it.  A spec's options never collect metrics:
+        telemetry carries wall-clock timings, which would break
+        byte-identity between interrupted and uninterrupted campaigns.
         """
-        spec = self.archive.spec
         study = Study.run(
-            scale=spec.scale,
-            seed=spec.seed,
-            traceroutes=spec.traceroutes,
+            self.archive.spec.options,
+            drift=drift,
             workers=self.workers,
             progress=self.progress,
-            collect_metrics=False,
-            faults=spec.chaos,
-            chaos_seed=spec.chaos_seed,
             pool=self.pool,
-            quic=spec.quic,
-            drift=drift,
         )
         study.save(directory)

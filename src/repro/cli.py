@@ -27,9 +27,9 @@ from pathlib import Path
 
 from .core.discovery import PoolDiscovery
 from .netsim.ipv4 import format_addr
-from .obs import FilterError, RunTelemetry, parse_filter, render_metrics_report
+from .obs import RunTelemetry, render_metrics_report
+from .options import OptionsError, RunOptions
 from .scenario.internet import SyntheticInternet
-from .scenario.parameters import params_for_scale
 from .study import Study
 
 
@@ -40,45 +40,40 @@ def _fail(message: str) -> int:
 
 
 def _checked_world(scale: float, seed: int) -> SyntheticInternet:
-    """Build a world, treating any out-of-range scale as input error.
-
-    ``params_for_scale`` maps scales above 1 to the full paper scale;
-    on the command line that is almost certainly a typo, so the CLI
-    rejects it rather than silently running a 2500-server study.
-    """
-    if not 0 < scale <= 1:
-        raise ValueError(f"scale must be in (0, 1]: {scale!r}")
-    return SyntheticInternet(params_for_scale(scale, seed))
+    """Build a world; a bad scale or seed raises :class:`OptionsError`
+    (a ``ValueError``) instead of building the full paper world."""
+    return SyntheticInternet(RunOptions(scale=scale, seed=seed).world_params())
 
 
 def cmd_study(args: argparse.Namespace) -> int:
-    trace_filter = args.trace_packets
     if args.workers < 0:
         return _fail(f"--workers must be >= 0: {args.workers}")
     if args.profile and args.out is None:
         return _fail("--profile needs --out to write profile dumps into")
-    if trace_filter is not None:
-        try:
-            parse_filter(trace_filter)
-        except FilterError as exc:
-            return _fail(f"bad --trace-packets expression: {exc}")
-
     try:
-        world = _checked_world(args.scale, args.seed)
-    except ValueError as exc:
+        options = RunOptions(
+            scale=args.scale,
+            seed=args.seed,
+            quic=args.quic,
+            faults=args.chaos,
+            chaos_seed=args.chaos_seed,
+            collect_metrics=args.metrics,
+            record_spans=args.spans,
+            collect_events=args.events,
+            trace_filter=args.trace_packets,
+        )
+    except OptionsError as exc:
         return _fail(str(exc))
+    world = SyntheticInternet(options.world_params())
     print(f"built {world!r}", file=sys.stderr)
 
     fault_plan = None
-    if args.chaos is not None:
+    if options.faults is not None:
         from .faults import generate_fault_plan
 
-        try:
-            fault_plan = generate_fault_plan(
-                world, profile=args.chaos, chaos_seed=args.chaos_seed
-            )
-        except ValueError as exc:
-            return _fail(str(exc))
+        fault_plan = generate_fault_plan(
+            world, profile=options.faults, chaos_seed=options.chaos_seed
+        )
         summary = fault_plan.summary()
         print(
             f"chaos profile={summary['profile']} seed={summary['chaos_seed']}: "
@@ -102,20 +97,14 @@ def cmd_study(args: argparse.Namespace) -> int:
         print(f"trace {done + 1}/{total} from {label}", file=sys.stderr)
 
     study = Study.run(
-        scale=args.scale,
-        seed=args.seed,
+        options,
         workers=args.workers,
         world=world,
         targets=report.addresses,
         faults=fault_plan,
         progress=progress if args.verbose else None,
-        collect_metrics=args.metrics,
-        trace_filter=trace_filter,
-        record_spans=args.spans or False,
-        collect_events=args.events,
         obs_dir=args.out,
         profile=args.profile,
-        quic=args.quic,
     )
     text = study.report()
     if args.out:
@@ -123,7 +112,7 @@ def cmd_study(args: argparse.Namespace) -> int:
         print(f"study written to {args.out}/", file=sys.stderr)
     print(text)
     if study.tracer is not None:
-        print(f"\n== Packet trace ({trace_filter}) ==")
+        print(f"\n== Packet trace ({options.trace_filter}) ==")
         dumped = study.tracer.dump(max_lines=args.trace_limit)
         print(dumped if dumped else "  (no packets matched)")
     if study.metrics is not None:
@@ -292,10 +281,9 @@ def cmd_tracebox(args: argparse.Namespace) -> int:
 
 def cmd_validate(args: argparse.Namespace) -> int:
     try:
-        world = _checked_world(args.scale, args.seed)
-    except ValueError as exc:
+        study = Study.run(scale=args.scale, seed=args.seed, discover=False)
+    except OptionsError as exc:
         return _fail(str(exc))
-    study = Study.run(scale=args.scale, seed=args.seed, discover=False, world=world)
 
     print("Headline statistics (bootstrap over traces):")
     for line in study.intervals().summary_lines():

@@ -44,8 +44,8 @@ from ..obs import (
     assemble_study_events,
     assemble_study_spans,
 )
+from ..options import RunOptions
 from ..scenario.internet import SyntheticInternet
-from ..scenario.timeline import EpochDrift, drifted_params
 from .merge import (
     MergeError,
     WIRE_FORMAT,
@@ -106,20 +106,16 @@ __all__ = [
 
 
 def run_study_parallel(
-    scale: float,
-    seed: int,
+    options: RunOptions,
     workers: int,
     targets: Sequence[int] | None = None,
     world: SyntheticInternet | None = None,
-    traceroutes: bool = True,
     progress: ProgressFn | None = None,
     retry: RetryPolicy | None = None,
     shard_timeout: float | None = None,
     faults: Mapping[int, "FaultSpec"] | None = None,
     fault_plan: FaultPlan | None = None,
     telemetry: RunTelemetry | None = None,
-    observe: bool | None = None,
-    span_detail: str | None = None,
     span_sink: list | None = None,
     event_sink: list | None = None,
     tracer: PathTracer | None = None,
@@ -127,117 +123,78 @@ def run_study_parallel(
     flight_dir: str | Path | None = None,
     profile_dir: str | Path | None = None,
     pool: SharedWorkerPool | None = None,
-    quic: bool = False,
-    drift: EpochDrift | None = None,
 ) -> tuple[TraceSet, TracerouteCampaign]:
     """Execute a full study as parallel shards and merge the results.
 
     The parent builds (or receives) the world and the probe-target
     list — discovery runs exactly once, in the parent — then ships
-    only ``(scale, seed, targets, shard)`` to each worker.  With
+    ``options``, the targets and one shard to each worker.  With
     ``workers=0`` (and no ``pool``) the shards run in this process
     against ``world`` itself, with ``fault_plan`` installed around the
     run; no second world is built.  Returns ``(TraceSet,
     TracerouteCampaign)``, identical for every ``workers`` value.
 
-    Passing a :class:`~repro.obs.RunTelemetry` turns observation on:
-    every shard runs under a fresh worker-side metrics registry, and
-    the telemetry object is filled in place with per-shard timing,
-    runner counters, and the deterministic merge of all shard metric
-    snapshots (deduplicated by shard id, so retries and recovery
-    cannot double-count).  ``observe=False`` keeps the timing and
-    runner counters but skips the worker-side registries — what the
-    speedup benchmark wants, since per-packet counting is not free.
+    What each shard runs and records is ``options`` (a
+    :class:`~repro.options.RunOptions`): the QUIC probe family,
+    traceroutes, drift, and the metrics, span, event and packet-trace
+    selections.  The remaining arguments are run-time objects the
+    merged records land in:
 
-    ``faults`` maps shard ids to :class:`FaultSpec` and exists for the
-    fault-tolerance tests; production callers never pass it.
+    - ``telemetry`` (a :class:`~repro.obs.RunTelemetry`) receives
+      per-shard timing, runner counters and — when
+      ``options.collect_metrics`` is on — the deterministic merge of
+      the shards' metric snapshots (deduplicated by shard id, so
+      retries and recovery cannot double-count);
+    - ``span_sink`` / ``event_sink`` receive the assembled study span
+      list (root first) and event list (ordered by ``(shard, seq)``);
+    - ``tracer`` receives the packet events matching
+      ``options.trace_filter``, merged in shard-id order, its limit
+      applied after the merge;
+    - ``event_log`` is a live, wall-clock
+      :class:`~repro.obs.EventLog` (the serve layer's) that the
+      scheduler narrates shard lifecycle into.  It never joins the
+      determinism contract.
 
     ``fault_plan`` is the simulation-level chaos schedule
-    (:class:`~repro.faults.FaultPlan`).  It ships inside every
-    :class:`ShardJob` and joins the worker's world-cache key, so each
-    worker installs the identical plan before its epochs run — the
-    merged chaotic study stays bit-identical to a sequential run given
-    the same plan.
+    (:class:`~repro.faults.FaultPlan`; :meth:`Study.run
+    <repro.study.Study.run>` expands ``options.faults`` into one).  It
+    ships inside every :class:`ShardJob` and joins the worker's
+    world-cache key ``(scale, seed, fault_plan, drift)``, so each
+    worker rebuilds the identical world; the rest of ``options`` stays
+    out of the key.  ``faults`` maps shard ids to :class:`FaultSpec`
+    and exists for the fault-tolerance tests.
 
     ``pool`` executes the shards on a shared
     :class:`~repro.runner.pool.SharedWorkerPool` instead of an owned
     per-campaign executor — the study server's path, where many
     concurrent studies multiplex one pool and reuse each worker's
-    per-process world cache across studies with the same
-    ``(scale, seed)``.  ``workers`` is then informational only.
-
-    ``span_detail`` turns on per-shard span recording at the given
-    level; worker subtrees ship back in the wire results and the
-    assembled study span list (root first, deduplicated by shard) is
-    appended to ``span_sink``.  ``flight_dir`` arms crash flight
-    recorders on both sides of the process boundary: workers dump
-    ``flight-shard-<id>.json`` when a shard execution dies, and the
-    parent dumps ``flight-parent.json`` on any scheduler recovery path
-    (gang retry after a hang or pool loss, retry-budget exhaustion) or
-    a :class:`ProgressOverflowError`.  ``profile_dir`` captures one
+    per-process world cache.  ``workers`` is then informational only.
+    ``flight_dir`` arms crash flight recorders on both sides of the
+    process boundary (``flight-shard-<id>.json`` when a shard dies,
+    ``flight-parent.json`` on any scheduler recovery path or a
+    :class:`ProgressOverflowError`); ``profile_dir`` captures one
     cProfile stats file per shard execution.
-
-    ``event_sink`` turns on per-shard structured event buffering:
-    each worker runs under a fresh :class:`~repro.obs.EventLog`
-    (epoch starts, chaos installations — no wall stamps), buffers ship
-    back in the wire results, and the assembled study event list
-    (ordered by ``(shard, seq)``, deduplicated by shard) is appended
-    to the sink — byte-identical to a sequential run's log.
-    ``event_log`` is different: a live, wall-clock
-    :class:`~repro.obs.EventLog` (the serve layer's, or the study's
-    own) that the parent-side scheduler narrates shard lifecycle into
-    — dispatch, retries, gang recoveries, pool rebuilds.
-
-    ``tracer`` turns on packet tracing: its filter expression
-    (:attr:`~repro.obs.PathTracer.expression`) ships in every
-    :class:`ShardJob`, and the per-shard event streams are merged into
-    it in shard-id order, its limit applied after the merge.
-
-    ``quic`` turns on the QUIC ECN-validation probe family in every
-    shard's measurement application; it rides in the
-    :class:`ShardJob` without joining the worker world-cache key.
-
-    ``drift`` applies longitudinal drift
-    (:class:`~repro.scenario.timeline.EpochDrift`) to the scenario
-    parameters: the parent builds (or receives) the drifted world, and
-    the drift ships inside every :class:`ShardJob`, joining the worker
-    world-cache key so each worker rebuilds the identical drifted
-    world.  ``None`` is the legacy undrifted path, bit for bit.
     """
     if world is None:
-        world = SyntheticInternet(drifted_params(scale, seed, drift))
+        world = SyntheticInternet(options.world_params())
     if targets is None:
         targets = [server.addr for server in world.servers]
     target_tuple = tuple(targets)
     schedule = world.params.schedule
     plan = trace_plan(schedule)
-    shards = plan_shards(schedule, traceroutes=traceroutes)
+    shards = plan_shards(schedule, traceroutes=options.traceroutes)
     fault_map = dict(faults) if faults else {}
-    if observe is None:
-        observe = telemetry is not None
     flight_path = str(flight_dir) if flight_dir is not None else None
     profile_path = str(profile_dir) if profile_dir is not None else None
-    trace_filter = None
-    if tracer is not None:
-        if tracer.expression is None:
-            raise ValueError("sharded packet tracing needs a filter expression")
-        trace_filter = tracer.expression
     jobs = [
         ShardJob(
-            scale=scale,
-            seed=seed,
+            options=options,
             targets=target_tuple,
             shard=shard,
             fault=fault_map.get(shard.shard_id),
-            observe=observe,
             fault_plan=fault_plan,
-            span_detail=span_detail,
-            events=event_sink is not None,
-            trace_filter=trace_filter,
             flight_dir=flight_path,
             profile_dir=profile_path,
-            quic=quic,
-            drift=drift,
         )
         for shard in shards
     ]
@@ -298,7 +255,7 @@ def run_study_parallel(
         if fault_plan is not None:
             telemetry.chaos = fault_plan.summary()
         telemetry.merge_metrics(by_shard(results, "metrics").values())
-    if span_sink is not None and span_detail is not None:
+    if span_sink is not None and options.record_spans:
         span_sink.extend(assemble_study_spans(by_shard(results, "spans")))
     if event_sink is not None:
         event_sink.extend(assemble_study_events(by_shard(results, "events")))
@@ -317,7 +274,7 @@ def run_study_parallel(
             (r for r in results if r["kind"] == KIND_TRACEROUTES),
             vantage_order=list(world.vantage_hosts),
         )
-        if traceroutes
+        if options.traceroutes
         else TracerouteCampaign()
     )
     return traces, campaign

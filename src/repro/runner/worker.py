@@ -1,9 +1,10 @@
 """Shard execution inside a worker process.
 
 A worker receives a :class:`ShardJob` — everything needed to rebuild
-the study context from scratch: ``(scale, seed)`` to rebuild the
-synthetic Internet through the canonical
-:func:`~repro.scenario.parameters.params_for_scale` mapping, the probe
+the study context from scratch: the study's
+:class:`~repro.options.RunOptions` (whose scale, seed and drift
+rebuild the synthetic Internet through the canonical
+:func:`~repro.scenario.timeline.drifted_params` mapping), the probe
 target list (discovery runs once, in the parent), and the shard to
 execute.  Worlds are cached per process, so a worker pays the build
 cost once and then runs any number of shards against it; hermetic
@@ -14,13 +15,14 @@ The same code runs shards in-process for ``workers=0``: there
 :func:`inline_world` points every shard at the caller's world, which
 is already built and discovered, instead of the per-process cache.
 
-Observability rides along per job: ``observe`` installs a fresh
-metrics registry, ``trace_filter`` a fresh packet tracer and
-``span_detail`` a fresh span recorder (their records ship back in the
-wire result), ``profile_dir`` wraps the measurement in
-:mod:`cProfile`, and ``flight_dir`` arms the process-wide crash
-flight recorder — a bounded ring of span/fault/lifecycle events dumped
-to ``flight-shard-<id>.json`` when a shard execution dies.
+Observability rides along in the options: ``collect_metrics`` installs
+a fresh metrics registry, ``trace_filter`` a fresh packet tracer,
+``record_spans`` a fresh span recorder and ``collect_events`` a fresh
+event log (their records ship back in the wire result); the job's
+``profile_dir`` wraps the measurement in :mod:`cProfile`, and
+``flight_dir`` arms the process-wide crash flight recorder — a bounded
+ring of span/fault/lifecycle events dumped to
+``flight-shard-<id>.json`` when a shard execution dies.
 
 Fault injection (:class:`FaultSpec`) exists for the scheduler's
 retry-path tests: a job can be told to raise — or hard-kill its worker
@@ -44,8 +46,9 @@ from ..obs.flight import FlightRecorder
 from ..obs.metrics import MetricsRegistry
 from ..obs.spans import SpanRecorder
 from ..obs.tracing import PathTracer
+from ..options import RunOptions
 from ..scenario.internet import SyntheticInternet
-from ..scenario.timeline import EpochDrift, drifted_params
+from ..scenario.timeline import EpochDrift
 from .merge import WIRE_FORMAT, encode_packet_event, encode_path, encode_trace
 from .shard import KIND_TRACES, Shard
 
@@ -78,41 +81,22 @@ class FaultSpec:
 class ShardJob:
     """A self-contained unit of work shipped to a worker process."""
 
-    scale: float
-    seed: int
+    #: The study's options: what the world is, which probe families
+    #: run, and which records (metrics, spans, events, packets) the
+    #: shard ships back.  Only scale, seed and drift join the world
+    #: cache key, next to the fault plan.
+    options: RunOptions
     targets: tuple[int, ...]
     shard: Shard
     attempt: int = 0
     fault: FaultSpec | None = None
-    #: When True the worker installs a fresh metrics registry around
-    #: this shard and ships its snapshot (plus timing) in the result.
-    observe: bool = False
     #: Chaos schedule applied by every worker identically (hashable, so
     #: it participates in the per-process world cache key).
     fault_plan: FaultPlan | None = None
-    #: Span detail level (:data:`repro.obs.DETAIL_EPOCH` /
-    #: :data:`~repro.obs.DETAIL_PROBE`); ``None`` records no spans.
-    span_detail: str | None = None
-    #: When True the worker buffers structured events (epoch starts,
-    #: chaos installations) in a fresh per-shard EventLog and ships
-    #: them back under the wire result's ``events`` key.
-    events: bool = False
-    #: Packet-filter expression (:func:`repro.obs.parse_filter`): the
-    #: worker traces matching packets and ships the events back under
-    #: the wire result's ``packets`` key.  ``None`` traces nothing.
-    trace_filter: str | None = None
     #: Directory for crash flight-recorder dumps; ``None`` disarms.
     flight_dir: str | None = None
     #: Directory for per-shard cProfile dumps; ``None`` disables.
     profile_dir: str | None = None
-    #: Run the QUIC ECN-validation probe family after the paper's four
-    #: measurements.  Deliberately *not* part of the world-cache key:
-    #: QUIC servers are always deployed, only the probing app changes.
-    quic: bool = False
-    #: Longitudinal drift applied to the scenario parameters before the
-    #: world is built (hashable, so it joins the world-cache key next
-    #: to the fault plan); ``None`` is the legacy undrifted world.
-    drift: EpochDrift | None = None
 
 
 #: Per-process world cache: building a synthetic Internet dominates
@@ -127,7 +111,7 @@ _WORLD_CACHE: dict[
 
 #: Worlds kept per worker process.  Small on purpose: a full-scale
 #: world is large, and a server mixing more than this many distinct
-#: ``(scale, seed, plan)`` keys at once should pay rebuilds, not RAM.
+#: ``(scale, seed, plan, drift)`` keys at once should pay rebuilds, not RAM.
 WORLD_CACHE_SIZE = 4
 
 #: The world in-process shards run against (set by
@@ -142,20 +126,17 @@ _INLINE_WORLD: ContextVar[SyntheticInternet | None] = ContextVar(
 _FLIGHT: FlightRecorder | None = None
 
 
-def _world_for(
-    scale: float,
-    seed: int,
-    fault_plan: FaultPlan | None = None,
-    drift: EpochDrift | None = None,
-) -> SyntheticInternet:
-    key = (scale, seed, fault_plan, drift)
+def _world_for(options: RunOptions, fault_plan: FaultPlan | None) -> SyntheticInternet:
+    # Never the whole options value: QUIC and observability settings
+    # do not change the world, and must not split the cache.
+    key = (options.scale, options.seed, fault_plan, options.drift)
     world = _WORLD_CACHE.get(key)
     if world is None:
         # Evict least-recently-used worlds so long-lived pools don't
         # accumulate topologies beyond the budget.
         while len(_WORLD_CACHE) >= WORLD_CACHE_SIZE:
             _WORLD_CACHE.pop(next(iter(_WORLD_CACHE)))
-        world = SyntheticInternet(drifted_params(scale, seed, drift))
+        world = SyntheticInternet(options.world_params())
         if fault_plan is not None:
             world.install_fault_plan(fault_plan)
         _WORLD_CACHE[key] = world
@@ -240,7 +221,7 @@ def _execute_shard(job: ShardJob, flight: FlightRecorder | None) -> dict:
             # then describes the *triggering* shard, never whatever
             # shard this worker process happened to run last.
             crash_log = None
-            if job.events:
+            if job.options.collect_events:
                 crash_log = EventLog(stamp_wall=False, shard=job.shard.shard_id)
                 crash_log.emit(
                     "fault-injected",
@@ -275,10 +256,11 @@ def _execute_shard(job: ShardJob, flight: FlightRecorder | None) -> dict:
             f"injected failure for shard {job.shard.shard_id} "
             f"(attempt {job.attempt})"
         )
+    options = job.options
     world = _INLINE_WORLD.get()
     if world is None:
-        world = _world_for(job.scale, job.seed, job.fault_plan, job.drift)
-    app = MeasurementApplication(world, targets=list(job.targets), quic=job.quic)
+        world = _world_for(options, job.fault_plan)
+    app = MeasurementApplication(world, targets=list(job.targets), quic=options.quic)
     shard = job.shard
     result: dict = {
         "format": WIRE_FORMAT,
@@ -289,23 +271,23 @@ def _execute_shard(job: ShardJob, flight: FlightRecorder | None) -> dict:
     # itself, makes per-shard snapshots partition the sequential run's
     # counters exactly: summing them reproduces the sequential totals
     # bit for bit.  Cached worlds outlive shards, so always uninstall.
-    registry = MetricsRegistry() if job.observe else None
-    tracer = PathTracer(match=job.trace_filter) if job.trace_filter else None
+    registry = MetricsRegistry() if options.collect_metrics else None
+    tracer = PathTracer(match=options.trace_filter) if options.trace_filter else None
     if registry is not None or tracer is not None:
         world.network.set_observability(registry, tracer)
     # Likewise a fresh span recorder per shard: its subtree ships back
     # in the result, and a retried shard re-records from scratch.
     spans = None
-    if job.span_detail is not None:
+    if options.record_spans is not None:
         spans = SpanRecorder(
-            detail=job.span_detail, shard_id=shard.shard_id, flight=flight
+            detail=options.record_spans, shard_id=shard.shard_id, flight=flight
         )
         world.set_span_recorder(spans)
     # And a fresh event log per shard: no wall stamps (shard events are
     # part of the determinism contract).  A retried shard re-emits
     # from scratch.
     event_log = None
-    if job.events:
+    if options.collect_events:
         event_log = EventLog(stamp_wall=False, shard=shard.shard_id)
         world.set_event_log(event_log)
     if flight is not None:

@@ -172,8 +172,8 @@ class StudyApp:
         self.index.register(
             run_id,
             self.studies_dir / run_id,
-            scale=params.scale,
-            seed=params.seed,
+            scale=params.options.scale,
+            seed=params.options.seed,
             status=STATUS_QUEUED,
             tenant=tenant,
         )

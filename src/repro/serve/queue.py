@@ -20,21 +20,15 @@ from __future__ import annotations
 import heapq
 import itertools
 from collections.abc import Mapping
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from ..faults.profiles import PROFILES
+from ..options import OptionsError, RunOptions
 
 #: Version tag for persisted queue snapshots.
 QUEUE_FORMAT = "ecn-udp-queue/1"
 
 #: Inclusive bounds on a submission's priority knob.
 PRIORITY_MIN, PRIORITY_MAX = -10, 10
-
-#: Upper bound on accepted scales: the server exists to run many
-#: studies concurrently; full-scale (1.0) studies belong to the batch
-#: CLI.  Generous enough for every benchmark in the repo.
-MAX_SCALE = 1.0
-
 
 class ValidationError(ValueError):
     """A submission document that cannot become a study."""
@@ -165,25 +159,22 @@ class StudyParams:
     *results* — every run executes and archives separately.
     """
 
-    scale: float
-    seed: int
-    traceroutes: bool = True
-    chaos: str | None = None
-    chaos_seed: int = 0
+    options: RunOptions
     #: Set when the submission is a longitudinal campaign rather than
     #: a single study; the scheduler routes it to the campaign driver.
     campaign: CampaignJob | None = None
 
     def world_key(self) -> tuple[float, int]:
-        return (self.scale, self.seed)
+        return (self.options.scale, self.options.seed)
 
     def to_dict(self) -> dict:
-        payload: dict = {"scale": self.scale, "seed": self.seed}
-        if not self.traceroutes:
+        options = self.options
+        payload: dict = {"scale": options.scale, "seed": options.seed}
+        if not options.traceroutes:
             payload["traceroutes"] = False
-        if self.chaos is not None:
-            payload["chaos"] = self.chaos
-            payload["chaos_seed"] = self.chaos_seed
+        if options.faults is not None:
+            payload["chaos"] = options.faults
+            payload["chaos_seed"] = options.chaos_seed
         if self.campaign is not None:
             payload["campaign"] = self.campaign.to_dict()
         return payload
@@ -193,59 +184,40 @@ class StudyParams:
         return validate_params(payload)
 
 
+#: Submission fields that are study options, by option name: a served
+#: study names its chaos profile ``chaos``.  Every other option (QUIC,
+#: drift, observability) is not served.
+SERVED_OPTIONS = {
+    "scale": "scale",
+    "seed": "seed",
+    "traceroutes": "traceroutes",
+    "chaos": "faults",
+    "chaos_seed": "chaos_seed",
+}
+
+
 def validate_params(payload) -> StudyParams:
     """Validate a submission document into :class:`StudyParams`.
 
+    The study fields are validated by :class:`~repro.options.RunOptions`.
     Raises :class:`ValidationError` with a message naming the first
     offending field; the server maps it to ``400``.
     """
     if not isinstance(payload, Mapping):
         raise ValidationError("submission must be a JSON object")
-    known = {
-        "scale",
-        "seed",
-        "traceroutes",
-        "chaos",
-        "chaos_seed",
-        "campaign",
-        "tenant",
-        "priority",
-    }
-    unknown = sorted(set(payload) - known)
+    unknown = sorted(set(payload) - {*SERVED_OPTIONS, "campaign", "tenant", "priority"})
     if unknown:
         raise ValidationError(f"unknown field(s): {', '.join(unknown)}")
-    scale = payload.get("scale", 0.1)
-    if isinstance(scale, bool) or not isinstance(scale, (int, float)):
-        raise ValidationError(f"scale must be a number: {scale!r}")
-    if not 0 < float(scale) <= MAX_SCALE:
-        raise ValidationError(f"scale must be in (0, {MAX_SCALE}]: {scale!r}")
-    seed = payload.get("seed", 20150401)
-    if isinstance(seed, bool) or not isinstance(seed, int):
-        raise ValidationError(f"seed must be an integer: {seed!r}")
-    traceroutes = payload.get("traceroutes", True)
-    if not isinstance(traceroutes, bool):
-        raise ValidationError(f"traceroutes must be a boolean: {traceroutes!r}")
-    chaos = payload.get("chaos")
-    if chaos is not None:
-        if not isinstance(chaos, str) or chaos not in PROFILES:
-            known_profiles = ", ".join(sorted(PROFILES))
-            raise ValidationError(
-                f"unknown chaos profile {chaos!r}; one of: {known_profiles}"
-            )
-    chaos_seed = payload.get("chaos_seed", 0)
-    if isinstance(chaos_seed, bool) or not isinstance(chaos_seed, int):
-        raise ValidationError(f"chaos_seed must be an integer: {chaos_seed!r}")
+    try:
+        options = RunOptions.from_dict(
+            {SERVED_OPTIONS[key]: value for key, value in payload.items() if key in SERVED_OPTIONS}
+        )
+    except OptionsError as exc:
+        raise ValidationError(str(exc)) from exc
     campaign = payload.get("campaign")
     if campaign is not None:
         campaign = validate_campaign(campaign)
-    return StudyParams(
-        scale=float(scale),
-        seed=seed,
-        traceroutes=traceroutes,
-        chaos=chaos,
-        chaos_seed=chaos_seed,
-        campaign=campaign,
-    )
+    return StudyParams(options=options, campaign=campaign)
 
 
 def validate_tenant(tenant) -> str:

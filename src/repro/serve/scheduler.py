@@ -340,8 +340,8 @@ class StudyScheduler:
                 self.index.register(
                     campaign_dir.name,
                     campaign_dir,
-                    scale=submission.params.scale,
-                    seed=submission.params.seed,
+                    scale=submission.params.options.scale,
+                    seed=submission.params.options.seed,
                     status=STATUS_COMPLETE,
                     tenant=submission.tenant,
                     kind="campaign",
@@ -351,8 +351,8 @@ class StudyScheduler:
                     self.index.register(
                         epoch_id,
                         campaign_dir / "epochs" / name,
-                        scale=submission.params.scale,
-                        seed=submission.params.seed,
+                        scale=submission.params.options.scale,
+                        seed=submission.params.options.seed,
                         status=STATUS_COMPLETE,
                         tenant=submission.tenant,
                         campaign=campaign_dir.name,
@@ -363,8 +363,8 @@ class StudyScheduler:
                     self.index.register(
                         submission.run_id,
                         campaign_dir,
-                        scale=submission.params.scale,
-                        seed=submission.params.seed,
+                        scale=submission.params.options.scale,
+                        seed=submission.params.options.seed,
                         status=STATUS_COMPLETE,
                         tenant=submission.tenant,
                         kind="campaign",
@@ -374,8 +374,8 @@ class StudyScheduler:
                 self.index.register(
                     submission.run_id,
                     self.studies_dir / submission.run_id,
-                    scale=submission.params.scale,
-                    seed=submission.params.seed,
+                    scale=submission.params.options.scale,
+                    seed=submission.params.options.seed,
                     status=STATUS_COMPLETE,
                     tenant=submission.tenant,
                 )
@@ -411,20 +411,12 @@ class StudyScheduler:
         params = submission.params
         if params.campaign is not None:
             return self._execute_campaign(submission, progress)
-        entry = self.worlds.entry_for(params.scale, params.seed)
+        entry = self.worlds.entry_for(*params.world_key())
         run_dir = self.studies_dir / submission.run_id
-        common = dict(
-            scale=params.scale,
-            seed=params.seed,
-            traceroutes=params.traceroutes,
-            faults=params.chaos,
-            chaos_seed=params.chaos_seed,
-            progress=progress,
-            world=entry.world,
-            targets=entry.targets,
-        )
+        common = dict(progress=progress, world=entry.world, targets=entry.targets)
         if self.pool is not None:
             study = Study.run(
+                params.options,
                 workers=max(self.study_workers, 1),
                 pool=self.pool,
                 event_log=self._run_events(submission),
@@ -435,7 +427,7 @@ class StudyScheduler:
             # studies serialise on the world's lock, distinct worlds
             # run concurrently.
             with entry.lock:
-                study = Study.run(workers=0, **common)
+                study = Study.run(params.options, workers=0, **common)
         # No run_id: _run_one registers the completed archive through
         # the server's index instance (the root's single writer).
         study.save(run_dir)
@@ -459,18 +451,18 @@ class StudyScheduler:
         """
         from ..campaign import CampaignArchive, CampaignDriver, CampaignSpec
 
-        params = submission.params
-        job = params.campaign
+        options = submission.params.options
+        job = submission.params.campaign
         spec = CampaignSpec(
-            scale=params.scale,
-            seed=params.seed,
+            scale=options.scale,
+            seed=options.seed,
             start_year=job.start_year,
             cadence_years=job.cadence_years,
             timeline=job.timeline,
             pool_churn=job.pool_churn,
-            chaos=params.chaos,
-            chaos_seed=params.chaos_seed,
-            traceroutes=params.traceroutes,
+            chaos=options.faults,
+            chaos_seed=options.chaos_seed,
+            traceroutes=options.traceroutes,
         )
         directory = self.studies_dir / (job.id or submission.run_id)
         workers = max(self.study_workers, 1) if self.pool is not None else 0

@@ -172,8 +172,8 @@ class StudyServer:
             self.index.register(
                 submission.run_id,
                 self.data_dir / submission.run_id,
-                scale=submission.params.scale,
-                seed=submission.params.seed,
+                scale=submission.params.options.scale,
+                seed=submission.params.options.seed,
                 status=STATUS_QUEUED,
                 tenant=submission.tenant,
             )

@@ -16,6 +16,7 @@ manifest, exactly as the ``ecnudp report`` command does).
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -32,15 +33,16 @@ from .core.analysis.uncertainty import HeadlineIntervals, headline_intervals
 from .core.analysis.validation import InferenceQuality, validate_study
 from .core.discovery import PoolDiscovery
 from .core.traces import TraceSet, TracerouteCampaign
+from .faults.events import FaultPlan
 from .ioutil import atomic_write_text
 from .obs import (
-    DETAIL_EPOCH,
     PathTracer,
     RunTelemetry,
     canonical_events,
     export_chrome_trace,
     render_events_jsonl,
 )
+from .options import RunOptions
 from .reporting.export import (
     export_figure_data,
     export_metrics_json,
@@ -91,28 +93,27 @@ class Study:
     @classmethod
     def run(
         cls,
-        scale: float = 0.1,
-        seed: int = 20150401,
-        discover: bool = True,
-        traceroutes: bool = True,
+        options: RunOptions | None = None,
+        *,
         workers: int = 0,
-        progress=None,
-        collect_metrics: bool = False,
-        trace_filter: str | None = None,
-        faults=None,
-        chaos_seed: int = 0,
-        record_spans: bool | str = False,
-        collect_events: bool = False,
-        event_log=None,
-        obs_dir: str | Path | None = None,
-        profile: bool = False,
         world: SyntheticInternet | None = None,
         targets: list[int] | None = None,
         pool=None,
-        quic: bool = False,
-        drift: EpochDrift | None = None,
+        progress=None,
+        event_log=None,
+        obs_dir: str | Path | None = None,
+        profile: bool = False,
+        discover: bool = True,
+        **fields,
     ) -> "Study":
-        """Execute the full §3 methodology at the given scale.
+        """Execute the full §3 methodology.
+
+        What runs is ``options`` (a :class:`~repro.options.RunOptions`)
+        with any keyword ``fields`` of it replaced — so
+        ``Study.run(scale=0.1, quic=True)`` and
+        ``Study.run(RunOptions(scale=0.1), quic=True)`` are the same
+        study.  The combined value is validated before any world is
+        built; a bad one raises :class:`~repro.options.OptionsError`.
 
         The study runs as the shard plan of :mod:`repro.runner`:
         ``workers=0`` (the default) executes the shards one after
@@ -121,93 +122,46 @@ class Study:
         go through the same wire codec and merge, so results are
         bit-identical by construction — hermetic measurement epochs
         make every trace a pure function of ``(params, trace id)``.
+        That covers every option: chaos (``faults`` names a profile
+        expanded with ``chaos_seed``), the QUIC probe family,
+        longitudinal ``drift`` (recorded in the manifest so
+        :meth:`load` rebuilds the drifted world), and the metrics
+        (:attr:`metrics`, :attr:`telemetry`), span (:attr:`spans`),
+        event (:attr:`events`) and packet-trace (:attr:`tracer`)
+        records.
 
-        ``collect_metrics=True`` turns the :mod:`repro.obs` layer on
-        for the measurement phase (never discovery, which runs once in
-        the parent), one registry per shard, merged.  ``trace_filter``
-        records the per-hop history of matching packets on
-        :attr:`tracer` (a :class:`~repro.obs.PathTracer`); each shard
-        traces its own packets and the streams merge in shard order,
-        identically for any ``workers`` value.
-
-        ``faults`` turns on the chaos layer (:mod:`repro.faults`): pass
-        a chaos-profile name (``"light"`` / ``"default"`` / ``"heavy"``
-        / ``"reroute"``) or a ready-made
-        :class:`~repro.faults.FaultPlan`.  A named profile is expanded
-        into a plan with :func:`~repro.faults.generate_fault_plan`
-        seeded by ``chaos_seed``; either way the plan is a pure value,
-        so chaotic runs stay bit-identical for any ``workers`` value.
-
-        ``world`` reuses an existing synthetic Internet instead of
-        building one — it must have been built from exactly
-        ``params_for_scale(scale, seed)``.  Hermetic measurement epochs
-        make worlds reusable across studies: a rerun against a cached
-        world is bit-identical to one against a fresh build, **provided
-        discovery is not rerun** (DNS pool rotation is stateful, so a
-        second discovery sees a different rotation).  Callers reusing a
-        world must therefore also pass ``targets`` captured from the
-        first run's discovery; the study server caches the pair.
-        ``pool`` runs a sharded study's shards on a shared
-        :class:`~repro.runner.SharedWorkerPool` rather than an owned
-        per-study executor (requires ``workers > 0``).
-
-        ``collect_events=True`` turns on the structured event log
-        (:mod:`repro.obs.events`): epoch starts and chaos
-        installations land on :attr:`events`, ordered by
-        ``(shard, seq)`` and byte-identical for any ``workers`` value,
-        and :meth:`save` exports them as ``events.jsonl``.
-        ``event_log`` is the live, wall-clock counterpart: a caller's
-        :class:`~repro.obs.EventLog` (the study server's, typically)
-        that the runner narrates shard lifecycle into — dispatch,
-        retries, gang recoveries.  It never joins the determinism
-        contract.
-
-        ``record_spans`` turns on the hierarchical span timeline
-        (``True`` = epoch detail, or pass a
-        :mod:`~repro.obs.spans` detail level); the assembled span list
-        lands on :attr:`spans` and is canonically identical for any
-        ``workers`` value.  ``obs_dir`` arms crash flight recorders
-        (``flight-*.json`` dumps on shard death or runner recovery) and
-        receives one cProfile dump per shard when ``profile`` is on.
-
-        ``quic=True`` adds the fourth probe family: a QUIC-like
-        connection per server performing RFC 9000 §13.4 ECN count
-        validation after the paper's four measurements (see
-        :attr:`quic_ecn` for the resulting analysis).  The probe runs
-        after the legacy phases inside each epoch, so studies with
-        ``quic=False`` remain byte-identical to pre-QUIC archives.
-
-        ``drift`` builds the world from longitudinally drifted
-        parameters (:mod:`repro.scenario.timeline`) — what one epoch
-        of a campaign (:mod:`repro.campaign`) runs.  The drift is
-        recorded in the archive manifest and rides into shard workers,
-        so drifted runs stay bit-identical for any ``workers`` value and
-        :meth:`load` rebuilds the same drifted world.  A ``world``
-        passed alongside a drift must have been built from exactly
-        ``drifted_params(scale, seed, drift)``.
+        The keywords are run-time objects with no JSON form.
+        ``faults`` may also be a ready-made
+        :class:`~repro.faults.FaultPlan`, used as is.  ``world`` reuses
+        an existing synthetic Internet, which must have been built from
+        exactly ``options.world_params()``.  Hermetic epochs make
+        worlds reusable across studies, **provided discovery is not
+        rerun** (DNS pool rotation is stateful), so callers reusing a
+        world also pass the ``targets`` captured from the first run's
+        discovery; the study server caches the pair.  ``pool`` runs
+        the shards on a shared :class:`~repro.runner.SharedWorkerPool`
+        (requires ``workers > 0``).  ``event_log`` is a live,
+        wall-clock :class:`~repro.obs.EventLog` the runner narrates
+        shard lifecycle into; it never joins the determinism contract.
+        ``obs_dir`` arms crash flight recorders and receives one
+        cProfile dump per shard when ``profile`` is on.
         """
-        span_detail: str | None = None
-        if record_spans:
-            span_detail = DETAIL_EPOCH if record_spans is True else record_spans
+        fault_plan = fields.pop("faults") if isinstance(fields.get("faults"), FaultPlan) else None
+        options = dataclasses.replace(options or RunOptions(), **fields)
         if profile and obs_dir is None:
             raise ValueError("profile=True needs obs_dir to write profiles into")
         if pool is not None and workers <= 0:
             raise ValueError("pool= requires workers > 0 (sharded execution)")
-        tracer = PathTracer(match=trace_filter) if trace_filter is not None else None
         if world is None:
-            world = SyntheticInternet(drifted_params(scale, seed, drift))
-        fault_plan = None
-        if faults is not None:
-            from .faults import FaultPlan, generate_fault_plan
+            world = SyntheticInternet(options.world_params())
+        if fault_plan is None and options.faults is not None:
+            from .faults import generate_fault_plan
 
-            if isinstance(faults, FaultPlan):
-                fault_plan = faults
-            else:
-                fault_plan = generate_fault_plan(
-                    world, profile=faults, chaos_seed=chaos_seed
-                )
-            if not fault_plan.events:
-                fault_plan = None
+            fault_plan = generate_fault_plan(
+                world, profile=options.faults, chaos_seed=options.chaos_seed
+            )
+        if fault_plan is not None and not fault_plan.events:
+            fault_plan = None
         if targets is None and discover:
             report = PoolDiscovery(
                 world.vantage_hosts["ugla-wired"],
@@ -217,20 +171,18 @@ class Study:
             targets = report.addresses
         from .runner import run_study_parallel
 
-        telemetry = RunTelemetry() if collect_metrics else None
-        span_sink: list | None = [] if span_detail is not None else None
-        event_sink: list | None = [] if collect_events else None
+        telemetry = RunTelemetry() if options.collect_metrics else None
+        tracer = PathTracer(match=options.trace_filter) if options.trace_filter else None
+        span_sink: list | None = [] if options.record_spans else None
+        event_sink: list | None = [] if options.collect_events else None
         traces, campaign = run_study_parallel(
-            scale=scale,
-            seed=seed,
-            workers=workers,
+            options,
+            workers,
             targets=targets,
             world=world,
-            traceroutes=traceroutes,
             progress=progress,
             fault_plan=fault_plan,
             telemetry=telemetry,
-            span_detail=span_detail,
             span_sink=span_sink,
             event_sink=event_sink,
             tracer=tracer,
@@ -238,21 +190,19 @@ class Study:
             flight_dir=obs_dir,
             profile_dir=obs_dir if profile else None,
             pool=pool,
-            quic=quic,
-            drift=drift,
         )
         return cls(
             world=world,
             traces=traces,
             campaign=campaign,
-            scale=scale,
-            seed=seed,
+            scale=options.scale,
+            seed=options.seed,
             metrics=telemetry.metrics if telemetry is not None else None,
             telemetry=telemetry,
             tracer=tracer,
             spans=span_sink,
             events=event_sink,
-            drift=drift,
+            drift=options.drift,
             chaos=fault_plan.summary() if fault_plan is not None else None,
         )
 

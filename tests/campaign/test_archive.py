@@ -108,6 +108,54 @@ class TestSpecValidation:
         chaotic = CampaignSpec(scale=0.02, seed=7, chaos="default", chaos_seed=3)
         assert CampaignSpec.from_dict(chaotic.to_dict()) == chaotic
 
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            {"quic": "false"},
+            {"seed": 20150401.9},
+            {"traceroutes": "no"},
+            {"chaos_seed": True},
+            {"scale": "0.1"},
+            {"chaos": 7},
+        ],
+    )
+    def test_from_dict_rejects_instead_of_coercing(self, payload):
+        with pytest.raises(CampaignError):
+            CampaignSpec.from_dict(payload)
+
+    def test_to_dict_bytes_are_stable(self):
+        """campaign.json is pinned byte for byte by archived campaigns."""
+        full = CampaignSpec(
+            scale=0.02,
+            seed=7,
+            start_year=2016.5,
+            cadence_years=2.0,
+            pool_churn=False,
+            chaos="default",
+            chaos_seed=3,
+            quic=True,
+            traceroutes=False,
+        )
+        assert json.dumps(full.to_dict()) == (
+            '{"scale": 0.02, "seed": 7, "start_year": 2016.5, "cadence_years": 2.0, '
+            '"timeline": "fresh-look", "pool_churn": false, "chaos": "default", '
+            '"chaos_seed": 3, "quic": true, "traceroutes": false}'
+        )
+        assert json.dumps(CampaignSpec().to_dict()) == (
+            '{"scale": 0.1, "seed": 20150401, "start_year": 2015.33, '
+            '"cadence_years": 1.0, "timeline": "fresh-look", "pool_churn": true}'
+        )
+
+    def test_options_carry_the_study_fields(self):
+        options = CampaignSpec(scale=0.02, seed=7, chaos="light", quic=True).options
+        assert (options.scale, options.seed, options.faults, options.quic) == (
+            0.02,
+            7,
+            "light",
+            True,
+        )
+        assert options.drift is None and not options.collect_metrics
+
 
 class TestCheckpoints:
     def test_records_parse_back_in_order(self, tmp_path, spec):

@@ -11,6 +11,7 @@ bit-identical to the fault-free sequential run.
 import pytest
 
 from repro.obs import RunTelemetry
+from repro.options import RunOptions
 from repro.runner import (
     FAULT_EXIT,
     FAULT_HANG,
@@ -26,6 +27,7 @@ pytestmark = [pytest.mark.slow, pytest.mark.chaos]
 
 SCALE = 0.02
 SEED = 11
+OPTIONS = RunOptions(scale=SCALE, seed=SEED)
 
 #: Fast retries: these tests exercise the machinery, not the waiting.
 FAST_RETRY = RetryPolicy(max_attempts=3, backoff=0.01, backoff_cap=0.05)
@@ -33,14 +35,13 @@ FAST_RETRY = RetryPolicy(max_attempts=3, backoff=0.01, backoff_cap=0.05)
 
 @pytest.fixture(scope="module")
 def sequential():
-    return Study.run(scale=SCALE, seed=SEED)
+    return Study.run(OPTIONS)
 
 
 def _run(sequential, workers, faults):
     return run_study_parallel(
-        scale=SCALE,
-        seed=SEED,
-        workers=workers,
+        OPTIONS,
+        workers,
         targets=sequential.traces.server_addrs,
         retry=FAST_RETRY,
         faults=faults,
@@ -97,16 +98,13 @@ def test_hung_worker_gang_recovered(sequential):
     # still be bit-identical.
     telemetry = RunTelemetry()
     traces, _campaign = run_study_parallel(
-        scale=SCALE,
-        seed=SEED,
-        workers=2,
+        RunOptions(scale=SCALE, seed=SEED, traceroutes=False),
+        2,
         targets=sequential.traces.server_addrs,
-        traceroutes=False,
         retry=FAST_RETRY,
         shard_timeout=5.0,
         faults={0: FaultSpec(kind=FAULT_HANG, attempts=1, hang_seconds=30.0)},
         telemetry=telemetry,
-        observe=False,
     )
     # Traces are identical whether or not traceroutes ran: hermetic
     # epochs make the two phases independent.
@@ -122,9 +120,8 @@ def test_progress_reaches_total(sequential):
         calls.append((done, total, label))
 
     run_study_parallel(
-        scale=SCALE,
-        seed=SEED,
-        workers=2,
+        OPTIONS,
+        2,
         targets=sequential.traces.server_addrs,
         retry=FAST_RETRY,
         progress=progress,

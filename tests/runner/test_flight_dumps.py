@@ -9,6 +9,7 @@ self-describing ``ecn-udp-flight/1`` document.
 import pytest
 
 from repro.obs import load_flight_dump
+from repro.options import RunOptions
 from repro.runner import (
     FAULT_EXIT,
     FAULT_RAISE,
@@ -26,12 +27,10 @@ SEED = 11
 FAST_RETRY = RetryPolicy(max_attempts=3, backoff=0.01, backoff_cap=0.05)
 
 
-def _run(tmp_path, faults, workers=2, **kwargs):
+def _run(tmp_path, faults, workers=2, events=False, **kwargs):
     return run_study_parallel(
-        scale=SCALE,
-        seed=SEED,
-        workers=workers,
-        traceroutes=False,
+        RunOptions(scale=SCALE, seed=SEED, traceroutes=False, collect_events=events),
+        workers,
         retry=FAST_RETRY,
         faults=faults,
         flight_dir=tmp_path,
@@ -96,6 +95,7 @@ def test_crash_dump_carries_the_shards_event_tail(tmp_path):
     _run(
         tmp_path,
         faults={1: FaultSpec(kind=FAULT_EXIT, attempts=1)},
+        events=True,
         event_sink=events,
     )
     document = load_flight_dump(tmp_path / "flight-shard-1.json")

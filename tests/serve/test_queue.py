@@ -1,7 +1,10 @@
 """Unit tests for submission validation and the multi-tenant queue."""
 
+import json
+
 import pytest
 
+from repro.options import RunOptions
 from repro.serve.queue import (
     MAX_CAMPAIGN_EPOCHS,
     QUEUE_FORMAT,
@@ -24,16 +27,17 @@ def sub(run_id, tenant="alice", priority=0, scale=0.01, seed=1):
         run_id=run_id,
         tenant=tenant,
         priority=priority,
-        params=StudyParams(scale=scale, seed=seed),
+        params=StudyParams(RunOptions(scale=scale, seed=seed)),
     )
 
 
 class TestValidateParams:
     def test_defaults(self):
         params = validate_params({})
-        assert params.scale == 0.1
-        assert params.traceroutes is True
-        assert params.chaos is None
+        assert params.options == RunOptions()
+        assert params.options.scale == 0.1
+        assert params.options.traceroutes is True
+        assert params.options.faults is None
 
     def test_unknown_field_rejected(self):
         with pytest.raises(ValidationError, match="unknown field"):
@@ -60,14 +64,21 @@ class TestValidateParams:
         with pytest.raises(ValidationError):
             validate_params(payload)
 
+    @pytest.mark.parametrize(
+        "field", ["quic", "faults", "drift", "collect_metrics", "record_spans", "trace_filter"]
+    )
+    def test_unserved_options_rejected(self, field):
+        with pytest.raises(ValidationError, match="unknown field"):
+            validate_params({field: True})
+
     def test_chaos_profile_accepted(self):
         params = validate_params({"chaos": "light", "chaos_seed": 3})
-        assert params.chaos == "light"
-        assert params.chaos_seed == 3
+        assert params.options.faults == "light"
+        assert params.options.chaos_seed == 3
 
     def test_world_key_ignores_execution_knobs(self):
-        a = StudyParams(scale=0.01, seed=2, traceroutes=False)
-        b = StudyParams(scale=0.01, seed=2, chaos="light")
+        a = StudyParams(RunOptions(scale=0.01, seed=2, traceroutes=False))
+        b = StudyParams(RunOptions(scale=0.01, seed=2, faults="light"))
         assert a.world_key() == b.world_key() == (0.01, 2)
 
     def test_roundtrip_through_dict(self):
@@ -186,6 +197,36 @@ class TestPersistence:
         assert [s.run_id for s in restored] == ["a", "c"]
         assert fresh.pop().run_id == "a"
         assert fresh.pop().run_id == "c"
+
+    def test_earlier_snapshot_format_still_loads(self):
+        """An ``ecn-udp-queue/1`` snapshot as earlier servers wrote it
+        restores to equal submissions, and re-snapshots byte-identically."""
+        document = (
+            '{"format": "ecn-udp-queue/1", "entries": ['
+            '{"run_id": "run-b", "tenant": "bob", "priority": 2, "seq": 1, "params": '
+            '{"scale": 0.01, "seed": 20150401, "traceroutes": false, "chaos": "light", '
+            '"chaos_seed": 3}}, '
+            '{"run_id": "run-a", "tenant": "alice", "priority": 0, "seq": 0, "params": '
+            '{"scale": 0.02, "seed": 9}}, '
+            '{"run_id": "run-c", "tenant": "alice", "priority": 0, "seq": 2, "params": '
+            '{"scale": 0.05, "seed": 4, "campaign": {"epochs": 2, "cadence_years": 3.5, '
+            '"id": "drift-1"}}}]}'
+        )
+        queue = StudyQueue(depth=10, tenant_quota=10)
+        restored = queue.restore(json.loads(document))
+        chaotic = RunOptions(scale=0.01, traceroutes=False, faults="light", chaos_seed=3)
+        expected = [
+            ("run-b", "bob", 2, chaotic),
+            ("run-a", "alice", 0, RunOptions(scale=0.02, seed=9)),
+            ("run-c", "alice", 0, RunOptions(scale=0.05, seed=4)),
+        ]
+        assert [(s.run_id, s.tenant, s.priority, s.params.options) for s in restored] == expected
+        assert restored[2].params.campaign == CampaignJob(
+            epochs=2, cadence_years=3.5, id="drift-1"
+        )
+        written = [entry["params"] for entry in queue.snapshot()["entries"]]
+        earlier = [entry["params"] for entry in json.loads(document)["entries"]]
+        assert json.dumps(written) == json.dumps(earlier)
 
     def test_restore_rejects_foreign_documents(self):
         queue = StudyQueue(depth=4, tenant_quota=4)
