@@ -26,6 +26,11 @@ Usage::
     # refresh the committed baseline (after a deliberate perf change)
     python benchmarks/check_regression.py --current bench.json --update
 
+Every ``--update`` also appends one JSON line to ``BENCH_history.jsonl``
+beside the baseline: each benchmark's previous and new calibration
+units plus both calibration times, so the ledger keeps its trajectory
+instead of only its latest state.
+
 The gate is two-sided.  A benchmark that got more than 30 % *faster*
 than the baseline also fails ("stale baseline"): large unratcheted
 improvements leave headroom in which real regressions hide — a 2×
@@ -50,6 +55,8 @@ import time
 from pathlib import Path
 
 DEFAULT_BASELINE = Path(__file__).resolve().parent.parent / "BENCH_baseline.json"
+#: One JSON line per ``--update`` ratchet, kept beside the baseline.
+HISTORY_NAME = "BENCH_history.jsonl"
 DEFAULT_TOLERANCE = 1.20
 DEFAULT_STALE_TOLERANCE = 0.70
 CALIBRATION_ROUNDS = 5
@@ -186,6 +193,40 @@ def write_baseline(
     print(f"baseline written to {path}")
 
 
+def append_history(
+    path: Path,
+    previous: dict | None,
+    current: dict[str, float],
+    calibration: float,
+) -> None:
+    """Append one ratchet record to the history at ``path``.
+
+    ``previous`` is the baseline document being replaced (``None`` for
+    the first ratchet).  A benchmark new to the baseline has a
+    ``previous`` of ``None``.
+    """
+    base_cal = float(previous["calibration_seconds"]) if previous else None
+    base_marks = previous["benchmarks"] if previous else {}
+    record = {
+        "format": 1,
+        "calibration_seconds": {"previous": base_cal, "new": calibration},
+        "benchmarks": {
+            name: {
+                "previous": (
+                    round(float(base_marks[name]) / base_cal, 2)
+                    if name in base_marks
+                    else None
+                ),
+                "new": round(current[name] / calibration, 2),
+            }
+            for name in sorted(current)
+        },
+    }
+    with path.open("a") as handle:
+        handle.write(json.dumps(record, sort_keys=True) + "\n")
+    print(f"ratchet appended to {path}")
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
@@ -220,7 +261,10 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--update",
         action="store_true",
-        help="rewrite the baseline from the current run instead of gating",
+        help=(
+            "rewrite the baseline from the current run, and append the "
+            "ratchet to BENCH_history.jsonl beside it, instead of gating"
+        ),
     )
     args = parser.parse_args(argv)
 
@@ -233,7 +277,13 @@ def main(argv: list[str] | None = None) -> int:
 
     baseline_path = Path(args.baseline)
     if args.update:
+        previous = (
+            json.loads(baseline_path.read_text()) if baseline_path.exists() else None
+        )
         write_baseline(baseline_path, current, calibration)
+        append_history(
+            baseline_path.with_name(HISTORY_NAME), previous, current, calibration
+        )
         return 0
     if not baseline_path.exists():
         print(f"baseline {baseline_path} missing; run with --update", file=sys.stderr)

@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import shutil
 from collections.abc import Mapping
 from dataclasses import dataclass
@@ -71,6 +72,38 @@ class CampaignError(ValueError):
     """A campaign archive that cannot be used (missing/corrupt/foreign)."""
 
 
+def validate_schedule(
+    start_year, cadence_years, timeline, pool_churn
+) -> tuple[float, float, str, bool]:
+    """Check the campaign-only spec fields strictly; return them normalised.
+
+    ``start_year`` and ``cadence_years`` must be finite numbers (never
+    a bool or a string) and come back as floats; ``cadence_years``
+    must be positive; ``timeline`` must name a known timeline and
+    ``pool_churn`` must be a bool.  Nothing is coerced: a bad value
+    raises :class:`CampaignError`.  :class:`CampaignSpec` and the
+    server's campaign submissions both validate through here.
+    """
+    for name, value in (("start_year", start_year), ("cadence_years", cadence_years)):
+        if (
+            isinstance(value, bool)
+            or not isinstance(value, (int, float))
+            or not math.isfinite(value)
+        ):
+            raise CampaignError(f"{name} must be a finite number: {value!r}")
+    if cadence_years <= 0:
+        raise CampaignError(f"cadence_years must be > 0: {cadence_years!r}")
+    if not isinstance(timeline, str):
+        raise CampaignError(f"timeline must be a string: {timeline!r}")
+    try:
+        timeline_by_name(timeline)
+    except ValueError as exc:
+        raise CampaignError(str(exc)) from exc
+    if not isinstance(pool_churn, bool):
+        raise CampaignError(f"pool_churn must be a boolean: {pool_churn!r}")
+    return float(start_year), float(cadence_years), timeline, pool_churn
+
+
 #: The ``campaign.json`` spec keys that are study options (``chaos``
 #: names the options' ``faults`` profile).
 _STUDY_KEYS = ("scale", "seed", "chaos", "chaos_seed", "quic", "traceroutes")
@@ -99,14 +132,11 @@ class CampaignSpec:
 
     def __post_init__(self) -> None:
         _ = self.options  # validates the study fields
-        if self.cadence_years <= 0:
-            raise CampaignError(
-                f"cadence_years must be > 0: {self.cadence_years!r}"
-            )
-        try:
-            timeline_by_name(self.timeline)
-        except ValueError as exc:
-            raise CampaignError(str(exc)) from exc
+        start_year, cadence_years, _, _ = validate_schedule(
+            self.start_year, self.cadence_years, self.timeline, self.pool_churn
+        )
+        object.__setattr__(self, "start_year", start_year)
+        object.__setattr__(self, "cadence_years", cadence_years)
 
     @property
     def options(self) -> RunOptions:
@@ -167,10 +197,10 @@ class CampaignSpec:
             return cls(
                 scale=options.scale,
                 seed=options.seed,
-                start_year=float(payload.get("start_year", PAPER_YEAR)),
-                cadence_years=float(payload.get("cadence_years", 1.0)),
-                timeline=str(payload.get("timeline", "fresh-look")),
-                pool_churn=bool(payload.get("pool_churn", True)),
+                start_year=payload.get("start_year", PAPER_YEAR),
+                cadence_years=payload.get("cadence_years", 1.0),
+                timeline=payload.get("timeline", "fresh-look"),
+                pool_churn=payload.get("pool_churn", True),
                 chaos=options.faults,
                 chaos_seed=options.chaos_seed,
                 quic=options.quic,

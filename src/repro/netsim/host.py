@@ -253,29 +253,30 @@ class Host:
             self._deliver_icmp(packet, now)
 
     def _deliver_udp(self, packet: IPv4Packet, now: float) -> None:
-        try:
-            datagram = UDPDatagram.decode(packet.payload)
-        except CodecError:
-            return
+        datagram = packet.transport
+        if datagram is None:  # arrived as bytes
+            try:
+                datagram = UDPDatagram.decode(packet.payload)
+            except CodecError:
+                return
         sock = self._udp_sockets.get(datagram.dst_port)
         if sock is not None:
             sock.deliver(datagram, packet, now)
             return
         if self.respond_port_unreachable:
-            icmp = port_unreachable(packet)
-            reply = IPv4Packet(
-                src=self.addr,
-                dst=packet.src,
-                protocol=PROTO_ICMP,
-                payload=icmp.encode(),
+            self.send_ip(
+                IPv4Packet.carrying(
+                    self.addr, packet.src, PROTO_ICMP, port_unreachable(packet)
+                )
             )
-            self.send_ip(reply)
 
     def _deliver_icmp(self, packet: IPv4Packet, now: float) -> None:
-        try:
-            message = ICMPMessage.decode(packet.payload)
-        except CodecError:
-            return
+        message = packet.transport
+        if message is None:  # arrived as bytes
+            try:
+                message = ICMPMessage.decode(packet.payload)
+            except CodecError:
+                return
         for handler in list(self._icmp_handlers):
             handler(message, packet, now)
 

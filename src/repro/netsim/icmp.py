@@ -41,13 +41,17 @@ _HEADER = struct.Struct("!BBHI")
 HEADER_LEN = _HEADER.size  # 8
 
 
-@dataclass
+@dataclass(slots=True)
 class ICMPMessage:
     """A parsed ICMP message.
 
     ``rest`` is the 4-byte field after the checksum (unused/zero for
     errors, identifier+sequence for echo).  ``body`` carries the quoted
     datagram for error messages, or echo payload for echo messages.
+
+    Like a TCP segment or UDP datagram, a generated error rides in its
+    IP packet as this object (:meth:`IPv4Packet.carrying`) and is never
+    mutated after send; the quotation in ``body`` is bytes by nature.
     """
 
     icmp_type: int
@@ -55,8 +59,13 @@ class ICMPMessage:
     rest: int = 0
     body: bytes = b""
 
-    def encode(self) -> bytes:
-        """Serialise to wire format with a correct ICMP checksum."""
+    def encode(self, src_addr: int | None = None, dst_addr: int | None = None) -> bytes:
+        """Serialise to wire format with a correct ICMP checksum.
+
+        The ICMP checksum covers no pseudo-header; the addresses are
+        accepted, and ignored, so a packet can carry the message the
+        way it carries a TCP segment or UDP datagram.
+        """
         header = _HEADER.pack(self.icmp_type, self.code, 0, self.rest)
         csum = internet_checksum(header + self.body)
         return (

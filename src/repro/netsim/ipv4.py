@@ -107,6 +107,11 @@ class Prefix:
         return f"{format_addr(self.network)}/{self.length}"
 
 
+#: The packet's public fields, in constructor order (what :meth:`replace`
+#: accepts and :meth:`__eq__` compares).
+_FIELDS = ("src", "dst", "protocol", "payload", "ttl", "tos", "ident", "dont_fragment")
+
+
 class IPv4Packet:
     """A parsed IPv4 datagram, packed for the simulator's hot path.
 
@@ -116,12 +121,31 @@ class IPv4Packet:
     code uses to correlate ICMP quotations with the probes that
     elicited them.
 
+    Carried transport header: a packet sent by a host's TCP stack or
+    UDP socket, or an ICMP error generated by a router or host
+    (:meth:`carrying`), holds the sender's
+    :class:`~repro.tcp.segment.TCPSegment`,
+    :class:`~repro.netsim.udp.UDPDatagram` or
+    :class:`~repro.netsim.icmp.ICMPMessage` in :attr:`transport`, and
+    the receiver demuxes that object directly.  :attr:`payload` — the
+    transport's wire bytes — is then built only when something reads
+    it (ICMP quotation, a capture tap) and cached.  TCP and UDP bytes
+    depend on ``src``/``dst`` through the pseudo-header checksum;
+    addresses are never rewritten in place, and :meth:`replace` builds
+    the bytes before changing them, so lazy bytes always equal what an
+    eager encode at send time would have produced.  Assigning
+    :attr:`payload` drops the carried header: the bytes are then the
+    packet's only content.  Packets built from bytes (decoded, or
+    quoted inside an ICMP error) carry no header.
+
     Ownership contract: callers hand a packet to the network, which
     takes one :meth:`copy` at the boundary and thereafter mutates that
     simulator-owned copy **in place** (:attr:`ttl` decrements,
     :meth:`set_ecn` CE marks) instead of allocating a fresh object per
     hop.  Host-side filters and caller-visible rewrites keep
     copy-on-write semantics via :meth:`replace` / :meth:`with_ecn`.
+    Copies share the carried header, which is never mutated after
+    send.
 
     The header checksum never requires serialising the header:
     :meth:`encode` folds the nine 16-bit header words arithmetically
@@ -134,7 +158,8 @@ class IPv4Packet:
         "src",
         "dst",
         "protocol",
-        "payload",
+        "transport",
+        "_wire",
         "ttl",
         "tos",
         "ident",
@@ -155,11 +180,52 @@ class IPv4Packet:
         self.src = src
         self.dst = dst
         self.protocol = protocol
-        self.payload = payload
+        self.transport = None
+        self._wire = payload
         self.ttl = ttl
         self.tos = tos
         self.ident = ident
         self.dont_fragment = dont_fragment
+
+    @classmethod
+    def carrying(
+        cls,
+        src: int,
+        dst: int,
+        protocol: int,
+        transport,
+        tos: int = 0,
+        ident: int = 0,
+        ttl: int = DEFAULT_TTL,
+    ) -> "IPv4Packet":
+        """A packet carrying ``transport`` (anything with ``encode(src, dst)``).
+
+        Nothing is encoded here; see the class docstring.
+        """
+        new = cls.__new__(cls)
+        new.src = src
+        new.dst = dst
+        new.protocol = protocol
+        new.transport = transport
+        new._wire = None
+        new.ttl = ttl
+        new.tos = tos
+        new.ident = ident
+        new.dont_fragment = True
+        return new
+
+    @property
+    def payload(self) -> bytes:
+        """The transport's wire bytes (built on first read when carried)."""
+        wire = self._wire
+        if wire is None:
+            wire = self._wire = self.transport.encode(self.src, self.dst)
+        return wire
+
+    @payload.setter
+    def payload(self, value: bytes) -> None:
+        self._wire = value
+        self.transport = None
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not IPv4Packet:
@@ -168,11 +234,11 @@ class IPv4Packet:
             self.src == other.src
             and self.dst == other.dst
             and self.protocol == other.protocol
-            and self.payload == other.payload
             and self.ttl == other.ttl
             and self.tos == other.tos
             and self.ident == other.ident
             and self.dont_fragment == other.dont_fragment
+            and self.payload == other.payload
         )
 
     __hash__ = None  # type: ignore[assignment]  # mutable, like the old dataclass
@@ -183,7 +249,8 @@ class IPv4Packet:
         new.src = self.src
         new.dst = self.dst
         new.protocol = self.protocol
-        new.payload = self.payload
+        new.transport = self.transport
+        new._wire = self._wire
         new.ttl = self.ttl
         new.tos = self.tos
         new.ident = self.ident
@@ -192,10 +259,15 @@ class IPv4Packet:
 
     def replace(self, **changes: object) -> "IPv4Packet":
         """Return a copy with ``changes`` applied (dataclasses.replace shape)."""
+        for name in changes:
+            if name not in _FIELDS:
+                raise TypeError(f"IPv4Packet has no field {name!r}")
+        if self._wire is None and ("src" in changes or "dst" in changes):
+            # The lazy bytes were fixed by the addresses they were sent
+            # between; build them before the addresses change.
+            self._wire = self.transport.encode(self.src, self.dst)
         new = self.copy()
         for name, value in changes.items():
-            if name not in IPv4Packet.__slots__:
-                raise TypeError(f"IPv4Packet has no field {name!r}")
             setattr(new, name, value)
         return new
 

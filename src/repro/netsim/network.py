@@ -533,12 +533,7 @@ class Network:
         and never ECT-marked).
         """
         self.counters.icmp_generated += 1
-        reply = IPv4Packet(
-            src=origin.interface_addr,
-            dst=original.src,
-            protocol=PROTO_ICMP,
-            payload=icmp.encode(),
-        )
+        reply = IPv4Packet.carrying(origin.interface_addr, original.src, PROTO_ICMP, icmp)
         links = self._icmp_return_links(origin.router_id, src_host.router_id)
         if links is None:
             self.counters.note("icmp-no-return-route")

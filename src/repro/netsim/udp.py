@@ -11,7 +11,7 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass
 
-from .checksum import internet_checksum, pseudo_header
+from .checksum import data_sum16, internet_checksum, pseudo_header
 from .errors import CodecError
 from .ipv4 import PROTO_UDP
 
@@ -19,9 +19,15 @@ _HEADER = struct.Struct("!HHHH")
 HEADER_LEN = _HEADER.size  # 8
 
 
-@dataclass
+@dataclass(slots=True)
 class UDPDatagram:
-    """A UDP datagram (header fields plus payload)."""
+    """A UDP datagram (header fields plus payload).
+
+    A socket-sent datagram rides in its IP packet as this object
+    (:meth:`IPv4Packet.carrying <repro.netsim.ipv4.IPv4Packet.carrying>`)
+    and is shared by every copy of that packet, so it is never mutated
+    after send.
+    """
 
     src_port: int
     dst_port: int
@@ -33,16 +39,38 @@ class UDPDatagram:
         return HEADER_LEN + len(self.payload)
 
     def encode(self, src_addr: int, dst_addr: int) -> bytes:
-        """Serialise with a checksum over the IPv4 pseudo-header."""
-        for name, port in (("src", self.src_port), ("dst", self.dst_port)):
-            if not 0 <= port <= 0xFFFF:
-                raise CodecError(f"UDP {name} port out of range: {port}")
-        header = _HEADER.pack(self.src_port, self.dst_port, self.length, 0)
-        pseudo = pseudo_header(src_addr, dst_addr, PROTO_UDP, self.length)
-        csum = internet_checksum(pseudo + header + self.payload)
+        """Serialise with a checksum over the IPv4 pseudo-header.
+
+        As in :meth:`TCPSegment.encode
+        <repro.tcp.segment.TCPSegment.encode>`, the pseudo-header and
+        header words are summed as plain integers and only the payload
+        is swept (:func:`data_sum16`).
+        """
+        src_port = self.src_port
+        dst_port = self.dst_port
+        if not 0 <= src_port <= 0xFFFF:
+            raise CodecError(f"UDP src port out of range: {src_port}")
+        if not 0 <= dst_port <= 0xFFFF:
+            raise CodecError(f"UDP dst port out of range: {dst_port}")
+        payload = self.payload
+        length = HEADER_LEN + len(payload)
+        src = src_addr & 0xFFFFFFFF
+        dst = dst_addr & 0xFFFFFFFF
+        total = (
+            # pseudo-header: addresses, protocol, UDP length
+            (src >> 16) + (src & 0xFFFF)
+            + (dst >> 16) + (dst & 0xFFFF)
+            + PROTO_UDP + (length & 0xFFFF)
+            # header words (the length again; checksum counts as zero)
+            + src_port + dst_port + (length & 0xFFFF)
+            + (data_sum16(payload) if payload else 0)
+        )
+        total = (total & 0xFFFF) + (total >> 16)
+        total = (total & 0xFFFF) + (total >> 16)
+        csum = ~total & 0xFFFF
         if csum == 0:
             csum = 0xFFFF  # RFC 768: transmitted zero means "no checksum"
-        return header[:6] + struct.pack("!H", csum) + self.payload
+        return _HEADER.pack(src_port, dst_port, length, csum) + payload
 
     @classmethod
     def decode(

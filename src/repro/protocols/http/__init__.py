@@ -5,6 +5,7 @@ from .messages import (
     HTTPRequest,
     HTTPResponse,
     HTTP_PORT,
+    parse_response,
     response_complete,
 )
 from .server import PoolWebServer, REDIRECT_TARGET
@@ -19,5 +20,6 @@ __all__ = [
     "PoolWebServer",
     "REDIRECT_TARGET",
     "fetch",
+    "parse_response",
     "response_complete",
 ]

@@ -17,8 +17,8 @@ from ...netsim.engine import Event
 from ...netsim.errors import CodecError
 from ...netsim.host import Host
 from ...tcp.connection import TCPConnection, TCPStack
-from ...tcp.segment import Flags
-from .messages import HTTPResponse, HTTP_PORT, response_complete
+from ...tcp.segment import ACK, CWR, ECE, SYN, Flags
+from .messages import HEADER_END, HTTPResponse, HTTP_PORT, parse_response
 
 DEFAULT_DEADLINE = 8.0
 
@@ -100,8 +100,15 @@ class HTTPFetch:
         if self.finished:
             return
         self._buffer += data
-        if response_complete(self._buffer):
-            self._complete()
+        if HEADER_END not in self._buffer:
+            return
+        try:
+            response = parse_response(self._buffer)
+        except CodecError:
+            self._finish(failure="bad-response")
+            return
+        if response.complete:
+            self._finish(response=response)
 
     def _on_close(self, conn: TCPConnection, reason: str) -> None:
         if self.finished:
@@ -129,7 +136,7 @@ class HTTPFetch:
     # ------------------------------------------------------------------
     def _complete(self) -> None:
         try:
-            response = HTTPResponse.decode(self._buffer)
+            response = parse_response(self._buffer)
         except CodecError:
             self._finish(failure="bad-response")
             return
@@ -142,13 +149,12 @@ class HTTPFetch:
         self._deadline_timer.cancel()
         scheduler = self.host.network.scheduler
         synack = self.conn.peer_syn_flags
-        negotiated = bool(
+        # SYN, ACK and ECE set, CWR clear (plain-int masks: IntFlag
+        # operators build an enum per test).
+        negotiated = (
             self.use_ecn
             and synack is not None
-            and (synack & Flags.SYN)
-            and (synack & Flags.ACK)
-            and (synack & Flags.ECE)
-            and not (synack & Flags.CWR)
+            and (synack & (SYN | ACK | ECE | CWR)) == (SYN | ACK | ECE)
         )
         if self.conn.state.value not in ("closed", "failed", "time-wait"):
             self.conn.abort("probe-finished")

@@ -100,6 +100,12 @@ class HTTPResponse:
     def is_redirect(self) -> bool:
         return self.status in (301, 302, 303, 307, 308)
 
+    @property
+    def complete(self) -> bool:
+        """False while a Content-Length header promises more body bytes."""
+        length = self.header("content-length")
+        return length is None or not length.isdigit() or len(self.body) >= int(length)
+
 
 def _parse_headers(lines: list[bytes]) -> dict[str, str]:
     headers: dict[str, str] = {}
@@ -113,16 +119,55 @@ def _parse_headers(lines: list[bytes]) -> dict[str, str]:
     return headers
 
 
+#: Parsed messages by their exact bytes.  Every pool web server sends
+#: one of a few fixed responses to one of a few fixed requests, so a
+#: study parses each distinct message once.  The cap bounds a
+#: pathological workload (cleared wholesale, like the pseudo-header
+#: memo in :mod:`repro.netsim.checksum`).
+_RESPONSES: dict[bytes, HTTPResponse] = {}
+_REQUESTS: dict[bytes, HTTPRequest] = {}
+_PARSED_MAX = 256
+
+
+def _parsed(cache: dict, decode, data: bytes):
+    message = cache.get(data)
+    if message is None:
+        message = decode(data)  # CodecError propagates, uncached
+        if len(cache) >= _PARSED_MAX:
+            cache.clear()
+        cache[data] = message
+    return message
+
+
+def parse_response(data: bytes) -> HTTPResponse:
+    """:meth:`HTTPResponse.decode`, parsing each distinct ``data`` once.
+
+    Every call returns its own :class:`HTTPResponse` with its own
+    headers dict, so callers never share mutable state.
+    """
+    parsed = _parsed(_RESPONSES, HTTPResponse.decode, data)
+    return HTTPResponse(
+        status=parsed.status,
+        reason=parsed.reason,
+        version=parsed.version,
+        headers=dict(parsed.headers),
+        body=parsed.body,
+    )
+
+
+def request_method(data: bytes) -> str:
+    """The method of the request in ``data`` (raises :class:`CodecError`).
+
+    Parses each distinct request once, like :func:`parse_response`.
+    """
+    return _parsed(_REQUESTS, HTTPRequest.decode, data).method
+
+
 def response_complete(data: bytes) -> bool:
     """True once ``data`` holds a full response (per Content-Length)."""
-    head, sep, body = data.partition(HEADER_END)
-    if not sep:
+    if HEADER_END not in data:
         return False
     try:
-        response = HTTPResponse.decode(data)
+        return _parsed(_RESPONSES, HTTPResponse.decode, data).complete
     except CodecError:
         return True  # malformed: treat as complete so the caller can fail it
-    length = response.header("content-length")
-    if length is None or not length.isdigit():
-        return True
-    return len(body) >= int(length)

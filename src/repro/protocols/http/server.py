@@ -15,7 +15,7 @@ from __future__ import annotations
 from ...netsim.errors import CodecError
 from ...netsim.host import Host
 from ...tcp.connection import ECNServerPolicy, TCPConnection, TCPStack
-from .messages import HTTPRequest, HTTPResponse, HTTP_PORT
+from .messages import HTTPResponse, HTTP_PORT, request_method
 
 REDIRECT_TARGET = "http://www.pool.ntp.org/"
 
@@ -24,6 +24,26 @@ _REDIRECT_BODY = (
     b"<body>This server is part of the <a href=\"" + REDIRECT_TARGET.encode() + b"\">"
     b"NTP pool</a>.</body></html>"
 )
+
+
+#: The server's responses, encoded once: the exchange is fixed.
+_BAD_REQUEST = HTTPResponse(status=400, reason="Bad Request").encode()
+_NOT_ALLOWED = HTTPResponse(status=405, reason="Method Not Allowed").encode()
+_PAGES = {
+    status: HTTPResponse(
+        status=status,
+        reason=reason,
+        headers={"Location": REDIRECT_TARGET, "Server": "ntppool/1.0"},
+        body=_REDIRECT_BODY,
+    ).encode()
+    for status, reason in ((301, "Moved Permanently"), (302, "Found"))
+}
+_OK_PAGE = HTTPResponse(
+    status=200,
+    reason="OK",
+    headers={"Server": "ntppool/1.0", "Content-Type": "text/html"},
+    body=_REDIRECT_BODY,
+).encode()
 
 
 class PoolWebServer:
@@ -60,32 +80,20 @@ class PoolWebServer:
         if b"\r\n\r\n" not in buffer:
             return
         try:
-            request = HTTPRequest.decode(buffer)
+            method = request_method(buffer)
         except CodecError:
-            response = HTTPResponse(status=400, reason="Bad Request")
+            response = _BAD_REQUEST
         else:
-            response = self._respond(request)
+            response = self._respond(method)
         self.requests_served += 1
-        conn.send(response.encode())
+        conn.send(response)
         conn.close()
         self._buffers.pop(conn.key, None)
 
-    def _respond(self, request: HTTPRequest) -> HTTPResponse:
-        if request.method != "GET":
-            return HTTPResponse(status=405, reason="Method Not Allowed")
-        if self.status in (301, 302):
-            return HTTPResponse(
-                status=self.status,
-                reason="Found" if self.status == 302 else "Moved Permanently",
-                headers={"Location": REDIRECT_TARGET, "Server": "ntppool/1.0"},
-                body=_REDIRECT_BODY,
-            )
-        return HTTPResponse(
-            status=200,
-            reason="OK",
-            headers={"Server": "ntppool/1.0", "Content-Type": "text/html"},
-            body=_REDIRECT_BODY,
-        )
+    def _respond(self, method: str) -> bytes:
+        if method != "GET":
+            return _NOT_ALLOWED
+        return _PAGES.get(self.status, _OK_PAGE)
 
     def _on_close(self, conn: TCPConnection, reason: str) -> None:
         self._buffers.pop(conn.key, None)

@@ -22,7 +22,9 @@ import itertools
 from collections.abc import Mapping
 from dataclasses import dataclass
 
+from ..campaign.archive import CampaignError, validate_schedule
 from ..options import OptionsError, RunOptions
+from ..scenario.timeline import PAPER_YEAR
 
 #: Version tag for persisted queue snapshots.
 QUEUE_FORMAT = "ecn-udp-queue/1"
@@ -51,7 +53,7 @@ class CampaignJob:
     """
 
     epochs: int
-    start_year: float = 2015.33
+    start_year: float = PAPER_YEAR
     cadence_years: float = 1.0
     timeline: str = "fresh-look"
     pool_churn: bool = True
@@ -59,7 +61,7 @@ class CampaignJob:
 
     def to_dict(self) -> dict:
         payload: dict = {"epochs": self.epochs}
-        if self.start_year != 2015.33:
+        if self.start_year != PAPER_YEAR:
             payload["start_year"] = self.start_year
         if self.cadence_years != 1.0:
             payload["cadence_years"] = self.cadence_years
@@ -73,9 +75,11 @@ class CampaignJob:
 
 
 def validate_campaign(payload) -> CampaignJob:
-    """Validate a submission's nested ``campaign`` object."""
-    from ..scenario.timeline import TIMELINES
+    """Validate a submission's nested ``campaign`` object.
 
+    The schedule fields are :class:`~repro.campaign.CampaignSpec`'s
+    own check; only ``epochs`` and ``id`` are serve-only.
+    """
     if not isinstance(payload, Mapping):
         raise ValidationError(f"campaign must be a JSON object: {payload!r}")
     known = {"epochs", "start_year", "cadence_years", "timeline", "pool_churn", "id"}
@@ -89,23 +93,15 @@ def validate_campaign(payload) -> CampaignJob:
         raise ValidationError(
             f"campaign epochs must be in [1, {MAX_CAMPAIGN_EPOCHS}]: {epochs!r}"
         )
-    start_year = payload.get("start_year", 2015.33)
-    if isinstance(start_year, bool) or not isinstance(start_year, (int, float)):
-        raise ValidationError(f"campaign start_year must be a number: {start_year!r}")
-    cadence = payload.get("cadence_years", 1.0)
-    if isinstance(cadence, bool) or not isinstance(cadence, (int, float)):
-        raise ValidationError(f"campaign cadence_years must be a number: {cadence!r}")
-    if float(cadence) <= 0:
-        raise ValidationError(f"campaign cadence_years must be > 0: {cadence!r}")
-    timeline = payload.get("timeline", "fresh-look")
-    if not isinstance(timeline, str) or timeline not in TIMELINES:
-        known_timelines = ", ".join(sorted(TIMELINES))
-        raise ValidationError(
-            f"unknown campaign timeline {timeline!r}; one of: {known_timelines}"
+    try:
+        start_year, cadence, timeline, pool_churn = validate_schedule(
+            payload.get("start_year", PAPER_YEAR),
+            payload.get("cadence_years", 1.0),
+            payload.get("timeline", "fresh-look"),
+            payload.get("pool_churn", True),
         )
-    pool_churn = payload.get("pool_churn", True)
-    if not isinstance(pool_churn, bool):
-        raise ValidationError(f"campaign pool_churn must be a boolean: {pool_churn!r}")
+    except CampaignError as exc:
+        raise ValidationError(f"campaign {exc}") from exc
     campaign_id = payload.get("id")
     if campaign_id is not None:
         # Same character discipline as tenants: the id becomes a
@@ -123,8 +119,8 @@ def validate_campaign(payload) -> CampaignJob:
             )
     return CampaignJob(
         epochs=epochs,
-        start_year=float(start_year),
-        cadence_years=float(cadence),
+        start_year=start_year,
+        cadence_years=cadence,
         timeline=timeline,
         pool_churn=pool_churn,
         id=campaign_id,

@@ -100,6 +100,10 @@ class TCPConnection:
         rto_initial: float = 1.0,
         mss: int = DEFAULT_MSS,
     ) -> None:
+        # Segments travel as objects and are encoded only when read,
+        # so a bad port must be refused here, not at first encode.
+        if not (0 <= local_port <= 0xFFFF and 0 <= remote_port <= 0xFFFF):
+            raise CodecError(f"TCP port out of range: {local_port} -> {remote_port}")
         self.stack = stack
         self.local_port = local_port
         self.remote_addr = remote_addr
@@ -261,7 +265,9 @@ class TCPConnection:
         segment = TCPSegment(
             src_port=self.local_port,
             dst_port=self.remote_port,
-            seq=seq,
+            # The segment is what the receiver reads, so its fields
+            # hold wire values (a decode would wrap seq the same way).
+            seq=seq & 0xFFFFFFFF,
             ack=self.rcv_nxt if (flags & ACK) else 0,
             flags=flags,
             mss=self.mss if (flags & SYN) else None,
@@ -602,13 +608,13 @@ class TCPStack:
     # IP interface
     # ------------------------------------------------------------------
     def transmit(self, conn: TCPConnection, segment: TCPSegment, ecn_mark: ECN) -> None:
-        """Encode a segment into an IP packet and send it."""
+        """Send a segment in an IP packet that carries it (nothing is encoded)."""
         self._next_ident = (self._next_ident + 1) & 0xFFFF
-        packet = IPv4Packet(
-            src=self.host.addr,
-            dst=conn.remote_addr,
-            protocol=PROTO_TCP,
-            payload=segment.encode(self.host.addr, conn.remote_addr),
+        packet = IPv4Packet.carrying(
+            self.host.addr,
+            conn.remote_addr,
+            PROTO_TCP,
+            segment,
             # tos_byte(0, ecn) is just the codepoint (DSCP 0 on every
             # stack-originated segment).
             tos=int(ecn_mark),
@@ -618,10 +624,12 @@ class TCPStack:
 
     def deliver(self, packet: IPv4Packet, now: float) -> None:
         """Demux an arriving TCP/IP packet."""
-        try:
-            segment = TCPSegment.decode(packet.payload)
-        except CodecError:
-            return
+        segment = packet.transport
+        if segment is None:  # arrived as bytes
+            try:
+                segment = TCPSegment.decode(packet.payload)
+            except CodecError:
+                return
         key = (segment.dst_port, packet.src, segment.src_port)
         conn = self.connections.get(key)
         if conn is not None:
@@ -672,11 +680,8 @@ class TCPStack:
             flags=RST | ACK,
         )
         self._next_ident = (self._next_ident + 1) & 0xFFFF
-        reply = IPv4Packet(
-            src=self.host.addr,
-            dst=packet.src,
-            protocol=PROTO_TCP,
-            payload=rst.encode(self.host.addr, packet.src),
-            ident=self._next_ident,
+        self.host.send_ip(
+            IPv4Packet.carrying(
+                self.host.addr, packet.src, PROTO_TCP, rst, ident=self._next_ident
+            )
         )
-        self.host.send_ip(reply)

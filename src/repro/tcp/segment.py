@@ -61,13 +61,18 @@ ECN_SETUP_SYN = Flags.SYN | Flags.ECE | Flags.CWR
 ECN_SETUP_SYNACK = Flags.SYN | Flags.ACK | Flags.ECE
 
 
-@dataclass
+@dataclass(slots=True)
 class TCPSegment:
     """A parsed TCP segment.
 
     ``flags`` is normalised to a plain ``int`` (``Flags`` members are
     accepted — they are ints — and converted), so per-segment flag
     tests run as native integer masking.
+
+    A stack-sent segment rides in its IP packet as this object
+    (:meth:`IPv4Packet.carrying <repro.netsim.ipv4.IPv4Packet.carrying>`)
+    and is shared by every copy of that packet, so it is never mutated
+    after send.
     """
 
     src_port: int

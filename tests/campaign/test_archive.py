@@ -123,6 +123,28 @@ class TestSpecValidation:
         with pytest.raises(CampaignError):
             CampaignSpec.from_dict(payload)
 
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            {"pool_churn": "false"},
+            {"pool_churn": 0},
+            {"start_year": True},
+            {"start_year": "2016"},
+            {"start_year": float("nan")},
+            {"cadence_years": "2"},
+            {"cadence_years": float("inf")},
+        ],
+    )
+    def test_from_dict_rejects_coerced_schedule(self, payload):
+        with pytest.raises(CampaignError):
+            CampaignSpec.from_dict(payload)
+
+    def test_integer_years_are_normalised(self):
+        spec = CampaignSpec(start_year=2016, cadence_years=2)
+        assert (spec.start_year, spec.cadence_years) == (2016.0, 2.0)
+        assert type(spec.start_year) is float and type(spec.cadence_years) is float
+        assert CampaignSpec.from_dict(spec.to_dict()) == spec
+
     def test_to_dict_bytes_are_stable(self):
         """campaign.json is pinned byte for byte by archived campaigns."""
         full = CampaignSpec(

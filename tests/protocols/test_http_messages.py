@@ -3,9 +3,12 @@
 import pytest
 
 from repro.netsim.errors import CodecError
+from repro.protocols.http import messages
 from repro.protocols.http.messages import (
     HTTPRequest,
     HTTPResponse,
+    parse_response,
+    request_method,
     response_complete,
 )
 
@@ -84,3 +87,49 @@ class TestCompleteness:
     def test_no_content_length_is_complete_at_header_end(self):
         raw = b"HTTP/1.1 200 OK\r\n\r\n"
         assert response_complete(raw)
+
+
+class TestParseOnce:
+    """The fixed exchange is parsed once per distinct message."""
+
+    @pytest.fixture
+    def decodes(self, monkeypatch):
+        calls = []
+        for cls in (HTTPResponse, HTTPRequest):
+            original = cls.decode.__func__
+
+            def counting(inner_cls, data, _original=original):
+                calls.append(data)
+                return _original(inner_cls, data)
+
+            monkeypatch.setattr(cls, "decode", classmethod(counting))
+        monkeypatch.setattr(messages, "_RESPONSES", {})
+        monkeypatch.setattr(messages, "_REQUESTS", {})
+        return calls
+
+    def test_each_distinct_response_parsed_once(self, decodes):
+        wire = HTTPResponse(status=302, headers={"Location": "x"}, body=b"ab").encode()
+        assert response_complete(wire)
+        first = parse_response(wire)
+        second = parse_response(wire)
+        assert decodes == [wire]
+        assert first == second and first.status == 302
+
+    def test_every_result_gets_its_own_headers(self, decodes):
+        wire = HTTPResponse(headers={"Server": "s"}).encode()
+        first = parse_response(wire)
+        first.headers["Server"] = "mutated"
+        assert parse_response(wire).header("server") == "s"
+
+    def test_malformed_response_is_not_cached(self, decodes):
+        with pytest.raises(CodecError):
+            parse_response(b"HTTP/1.1 abc\r\n\r\n")
+        with pytest.raises(CodecError):
+            parse_response(b"HTTP/1.1 abc\r\n\r\n")
+        assert len(decodes) == 2
+
+    def test_request_method_parsed_once(self, decodes):
+        wire = HTTPRequest(method="POST", headers={"Host": "h"}).encode()
+        assert request_method(wire) == "POST"
+        assert request_method(wire) == "POST"
+        assert decodes == [wire]

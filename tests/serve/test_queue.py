@@ -285,6 +285,8 @@ class TestValidateCampaign:
             {"epochs": 1, "cadence_years": True},
             {"epochs": 1, "timeline": "no-such"},
             {"epochs": 1, "pool_churn": "yes"},
+            {"epochs": 1, "timeline": 7},
+            {"epochs": 1, "start_year": float("nan")},
             {"epochs": 1, "id": ".hidden"},
             {"epochs": 1, "id": "spaced out"},
             {"epochs": 1, "id": "x" * 65},
