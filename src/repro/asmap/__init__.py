@@ -1,6 +1,6 @@
 """IP→AS mapping and AS-boundary inference."""
 
-from .boundaries import BoundaryVerdict, boundary_fraction, classify_hop
+from .boundaries import BoundaryVerdict, classify_hop
 from .mapping import ASMap, NoisyASMap, UNKNOWN_ASN
 
 __all__ = [
@@ -8,6 +8,5 @@ __all__ = [
     "BoundaryVerdict",
     "NoisyASMap",
     "UNKNOWN_ASN",
-    "boundary_fraction",
     "classify_hop",
 ]

@@ -45,34 +45,3 @@ def classify_hop(asns: Sequence[int], index: int) -> BoundaryVerdict:
     # First known hop on the path: not a boundary crossing.
     return BoundaryVerdict(is_boundary=False, determinate=True)
 
-
-def boundary_fraction(
-    paths: Sequence[Sequence[int]],
-    flagged: Sequence[Sequence[bool]],
-) -> tuple[float, int, int]:
-    """Fraction of *flagged* hops that sit at AS boundaries.
-
-    ``paths`` holds per-path ASN sequences; ``flagged`` parallel
-    booleans marking the hops of interest (e.g. where an ECT mark was
-    first seen stripped).  Returns ``(fraction, boundary_count,
-    determinate_count)``; the fraction is over hops with a determinate
-    verdict, matching the paper's "where we were able to determine the
-    AS" qualifier.
-    """
-    if len(paths) != len(flagged):
-        raise ValueError("paths and flagged must be parallel")
-    boundary = 0
-    determinate = 0
-    for asns, marks in zip(paths, flagged):
-        if len(asns) != len(marks):
-            raise ValueError("per-path ASN and flag lists must be parallel")
-        for index, marked in enumerate(marks):
-            if not marked:
-                continue
-            verdict = classify_hop(asns, index)
-            if verdict.determinate:
-                determinate += 1
-                if verdict.is_boundary:
-                    boundary += 1
-    fraction = boundary / determinate if determinate else 0.0
-    return fraction, boundary, determinate

@@ -133,6 +133,8 @@ def cmd_metrics(args: argparse.Namespace) -> int:
         snapshot = json.loads(metrics_path.read_text())
     except (OSError, ValueError) as exc:
         return _fail(f"unreadable {metrics_path}: {exc}")
+    if not isinstance(snapshot, dict):
+        return _fail(f"unreadable {metrics_path}: not a metrics snapshot")
     if getattr(args, "format", "text") == "prometheus":
         from .obs import render_prometheus
 
@@ -142,19 +144,9 @@ def cmd_metrics(args: argparse.Namespace) -> int:
     telemetry_path = study / "telemetry.json"
     if telemetry_path.exists():
         try:
-            document = json.loads(telemetry_path.read_text())
+            telemetry = RunTelemetry.from_dict(json.loads(telemetry_path.read_text()))
         except (OSError, ValueError) as exc:
             return _fail(f"unreadable {telemetry_path}: {exc}")
-        telemetry = RunTelemetry(
-            workers=document.get("workers", 0),
-            wall_seconds=document.get("wall_seconds", 0.0),
-            metrics=document.get("metrics", snapshot),
-            runner=document.get("runner", {}),
-        )
-        from .obs import ShardRecord
-
-        for entry in document.get("shards", []):
-            telemetry.record_shard(ShardRecord(**entry))
     print(render_metrics_report(snapshot, telemetry))
     return 0
 

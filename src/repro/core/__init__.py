@@ -1,11 +1,5 @@
 """The paper's measurement system: discovery, probes, traces, analysis."""
 
-from .capture import (
-    CapturedPacket,
-    PacketCapture,
-    tcp_port_filter,
-    udp_port_filter,
-)
 from .discovery import DiscoveredServer, DiscoveryReport, PoolDiscovery
 from .measurement import MeasurementApplication, PlannedTrace, trace_plan
 from .probes import (
@@ -27,14 +21,12 @@ from .traces import (
 )
 
 __all__ = [
-    "CapturedPacket",
     "DiscoveredServer",
     "DiscoveryReport",
     "ECNUsabilityResult",
     "FieldChange",
     "HopObservation",
     "MeasurementApplication",
-    "PacketCapture",
     "PathTrace",
     "PlannedTrace",
     "PoolDiscovery",
@@ -50,7 +42,5 @@ __all__ = [
     "probe_udp",
     "run_tracebox",
     "run_traceroute",
-    "tcp_port_filter",
     "trace_plan",
-    "udp_port_filter",
 ]

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING
 
 from .profiles import ChaosProfile, resolve_profile
 
@@ -279,16 +279,3 @@ def generate_fault_plan(
         events=tuple(events), profile=spec.name, chaos_seed=chaos_seed
     )
 
-
-def merge_plans(plans: Iterable[FaultPlan]) -> FaultPlan:
-    """Union several plans into one (profiles compose additively)."""
-    merged: list[FaultEvent] = []
-    names: list[str] = []
-    seed = 0
-    for plan in plans:
-        merged.extend(plan.events)
-        names.append(plan.profile)
-        seed = seed or plan.chaos_seed
-    return FaultPlan(
-        events=tuple(merged), profile="+".join(names) or "custom", chaos_seed=seed
-    )

@@ -2,9 +2,11 @@
 
 A host owns one address, attaches to one access router, and demuxes
 arriving packets to UDP sockets, a TCP stack (attached by
-:mod:`repro.tcp`), and ICMP handlers.  Packet taps provide the
-tcpdump-equivalent observation point used by the measurement
-application; they see both directions, before any demux decision.
+:mod:`repro.tcp`), and ICMP handlers.  The tcpdump-equivalent
+observation point is the network's
+:class:`~repro.obs.tracing.PathTracer`: it records ``tx`` at the host
+before outbound filters and ``rx`` after inbound filters, before any
+demux decision.
 """
 
 from __future__ import annotations
@@ -38,8 +40,6 @@ _RX_COUNTERS = {
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .network import Network
 
-#: Tap signature: (direction, packet, sim_time); direction is "in"/"out".
-TapFn = Callable[[str, IPv4Packet, float], None]
 #: ICMP handler signature: (message, ip_packet, sim_time).
 ICMPHandler = Callable[[ICMPMessage, IPv4Packet, float], None]
 
@@ -88,7 +88,6 @@ class Host:
         self.outbound_filters: list[Middlebox] = []
         self._udp_sockets: dict[int, UDPSocket] = {}
         self._icmp_handlers: list[ICMPHandler] = []
-        self._taps: list[TapFn] = []
         self._next_ephemeral = EPHEMERAL_BASE
         #: Host-local RNG for inbound-filter sampling (set on attach).
         self._rng = random.Random(0)
@@ -135,29 +134,23 @@ class Host:
     def send_ip(self, packet: IPv4Packet) -> None:
         """Hand a fully formed IP packet to the network.
 
-        Taps observe the packet first (tcpdump runs on the host, inside
-        any home-gateway middleboxes), then outbound filters may drop
-        or rewrite it before it reaches the access link.
+        The tracer observes the packet first (tcpdump runs on the host,
+        inside any home-gateway middleboxes), then outbound filters may
+        drop or rewrite it before it reaches the access link.
         """
         network = self.network
         if network is None:
             raise SocketError(f"host {self.hostname!r} is not attached to a network")
         metrics = network.metrics
         tracer = network.tracer
-        taps = self._taps
-        if metrics or tracer or taps:
-            # Only observers need the clock; the bare forwarding path
-            # (most hosts, observability off) skips the property chain.
-            now = network.scheduler.now
-            if metrics:
-                name = _TX_COUNTERS.get(packet.protocol)
-                metrics.incr(name or f"host.tx.{proto_name(packet.protocol)}")
-            if tracer and tracer.wants(packet):
-                tracer.record(
-                    packet, self.hostname, "tx", packet.ecn, packet.ecn, time=now
-                )
-            for tap in taps:
-                tap("out", packet, now)
+        if metrics:
+            name = _TX_COUNTERS.get(packet.protocol)
+            metrics.incr(name or f"host.tx.{proto_name(packet.protocol)}")
+        if tracer and tracer.wants(packet):
+            tracer.record(
+                packet, self.hostname, "tx", packet.ecn, packet.ecn,
+                time=network.scheduler.now,
+            )
         for box in self.outbound_filters:
             verdict = box.process(packet, self._rng)
             if verdict.dropped:
@@ -200,16 +193,6 @@ class Host:
     # ------------------------------------------------------------------
     # Receiving
     # ------------------------------------------------------------------
-    def add_tap(self, tap: TapFn) -> Callable[[], None]:
-        """Install a packet tap; returns a removal function."""
-        self._taps.append(tap)
-
-        def remove() -> None:
-            if tap in self._taps:
-                self._taps.remove(tap)
-
-        return remove
-
     def on_icmp(self, handler: ICMPHandler) -> Callable[[], None]:
         """Register an ICMP handler; returns a removal function."""
         self._icmp_handlers.append(handler)
@@ -242,8 +225,6 @@ class Host:
             metrics.incr(name or f"host.rx.{proto_name(packet.protocol)}")
         if tracer and tracer.wants(packet):
             tracer.record(packet, self.hostname, "rx", packet.ecn, packet.ecn, time=now)
-        for tap in self._taps:
-            tap("in", packet, now)
         if packet.protocol == PROTO_UDP:
             self._deliver_udp(packet, now)
         elif packet.protocol == PROTO_TCP:

@@ -116,7 +116,7 @@ class IPv4Packet:
     """A parsed IPv4 datagram, packed for the simulator's hot path.
 
     The simulator moves these objects between nodes; the byte form is
-    produced on demand (capture, ICMP quotation) via :meth:`encode`.
+    produced on demand (ICMP quotation, wire checks) via :meth:`encode`.
     ``ident`` mirrors the IP identification field, which the probing
     code uses to correlate ICMP quotations with the probes that
     elicited them.
@@ -129,7 +129,7 @@ class IPv4Packet:
     :class:`~repro.netsim.icmp.ICMPMessage` in :attr:`transport`, and
     the receiver demuxes that object directly.  :attr:`payload` — the
     transport's wire bytes — is then built only when something reads
-    it (ICMP quotation, a capture tap) and cached.  TCP and UDP bytes
+    it (ICMP quotation, a trace filter that inspects it) and cached.  TCP and UDP bytes
     depend on ``src``/``dst`` through the pseudo-header checksum;
     addresses are never rewritten in place, and :meth:`replace` builds
     the bytes before changing them, so lazy bytes always equal what an

@@ -19,7 +19,7 @@ separate in the exported document:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from .metrics import (
     DURATION_BOUNDS,
@@ -113,6 +113,47 @@ class RunTelemetry:
             self.shards, key=lambda r: (-r.elapsed, r.shard_id)
         )[:count]
 
+    @classmethod
+    def from_dict(cls, document) -> "RunTelemetry":
+        """Rebuild from a :meth:`to_dict` document.
+
+        Derived fields (``total_retries``, ``wall_histograms``) are
+        recomputed, not read.  Anything that is not a document this
+        class wrote raises :class:`ValueError`.
+        """
+        if not isinstance(document, dict):
+            raise ValueError(
+                f"telemetry must be an object, not {type(document).__name__}"
+            )
+        unknown = set(document) - _DOCUMENT_KEYS
+        if unknown:
+            raise ValueError(f"unknown telemetry keys: {sorted(unknown)}")
+        shards = document.get("shards", [])
+        runner = document.get("runner", {})
+        metrics = document.get("metrics", empty_snapshot())
+        chaos = document.get("chaos")
+        if not isinstance(shards, list):
+            raise ValueError("telemetry 'shards' must be a list")
+        if not all(isinstance(part, dict) for part in (runner, metrics, chaos or {})):
+            raise ValueError("telemetry 'runner', 'metrics' and 'chaos' must be objects")
+        telemetry = cls(
+            workers=_number(document, "workers", 0, int),
+            wall_seconds=_number(document, "wall_seconds", 0.0, (int, float)),
+            metrics=metrics,
+            runner=runner,
+            chaos=chaos,
+        )
+        for entry in shards:
+            if not isinstance(entry, dict) or set(entry) != _SHARD_KEYS:
+                raise ValueError(
+                    f"telemetry shard entry needs exactly {sorted(_SHARD_KEYS)}: {entry!r}"
+                )
+            for key in ("shard_id", "attempts", "units"):
+                _number(entry, key, 0, int)
+            _number(entry, "elapsed", 0.0, (int, float))
+            telemetry.record_shard(ShardRecord(**entry))
+        return telemetry
+
     def to_dict(self) -> dict:
         """JSON-safe document, shards in shard-id order."""
         document = {
@@ -158,6 +199,20 @@ class RunTelemetry:
                     f"{record.label}"
                 )
         return lines
+
+
+_DOCUMENT_KEYS = frozenset(
+    ("workers", "wall_seconds", "total_retries", "runner", "shards", "metrics",
+     "wall_histograms", "chaos")
+)
+_SHARD_KEYS = frozenset(item.name for item in fields(ShardRecord))
+
+
+def _number(document: dict, key: str, default, kinds):
+    value = document.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, kinds):
+        raise ValueError(f"telemetry {key!r} must be a number, not {value!r}")
+    return value
 
 
 def histogram_lines(histograms: dict, indent: str = "  ") -> list[str]:

@@ -90,7 +90,10 @@ def decode_name(data: bytes, offset: int) -> tuple[str, int]:
             break
         if offset + length > len(data):
             raise CodecError("label runs past end of message")
-        labels.append(data[offset : offset + length].decode("ascii"))
+        try:
+            labels.append(data[offset : offset + length].decode("ascii"))
+        except UnicodeDecodeError as exc:
+            raise CodecError(f"non-ASCII label at offset {offset}") from exc
         offset += length
     return ".".join(labels), (next_offset if next_offset is not None else offset)
 

@@ -199,29 +199,6 @@ def render_figure6(measured_pct: float) -> str:
     )
 
 
-def render_regional(rows) -> str:
-    """Extension table: §4.1 reachability split by Table 1's regions."""
-    return render_table(
-        (
-            "Region",
-            "Servers",
-            "Avg reachable (not-ECT)",
-            "ECT-given-plain %",
-        ),
-        [
-            (
-                row.region.value,
-                row.servers,
-                f"{row.avg_plain_reachable:.1f}",
-                f"{row.pct_ect_given_plain:.2f}" if row.pct_ect_given_plain is not None else "-",
-            )
-            for row in rows
-        ],
-        title="Extension: UDP/ECN reachability by region",
-        align_right=(1, 2, 3),
-    )
-
-
 def render_table2(table: CorrelationTable) -> str:
     """Table 2: UDP vs TCP reachability correlation."""
     rows = []

@@ -14,6 +14,9 @@ deliberately small, deliberately strict:
 * request bodies are bounded (:data:`MAX_BODY_BYTES`), header count
   and line lengths are bounded, and oversized input maps to 413/431
   rather than unbounded buffering;
+* reading one request is bounded in time
+  (:data:`REQUEST_READ_SECONDS`), so a client that connects and goes
+  silent loses its connection instead of holding a handler forever;
 * only the request features the API uses are implemented — there is
   no content negotiation, no multipart, no keep-alive pipelining.
 
@@ -31,6 +34,8 @@ from urllib.parse import parse_qsl, unquote, urlsplit
 
 #: Largest accepted request body (study submissions are tiny JSON).
 MAX_BODY_BYTES = 1 << 20
+#: Deadline for reading one whole request (line, headers and body).
+REQUEST_READ_SECONDS = 10.0
 #: Largest accepted request/header line.
 MAX_LINE_BYTES = 16 * 1024
 #: Most headers accepted per request.
@@ -120,7 +125,15 @@ async def _read_line(reader: asyncio.StreamReader) -> bytes:
 
 
 async def read_request(reader: asyncio.StreamReader) -> Request | None:
-    """Parse one request; ``None`` when the peer closed pre-request."""
+    """Parse one request; ``None`` when the peer closed pre-request or
+    did not send a whole request within :data:`REQUEST_READ_SECONDS`."""
+    try:
+        return await asyncio.wait_for(_parse_request(reader), REQUEST_READ_SECONDS)
+    except asyncio.TimeoutError:
+        return None
+
+
+async def _parse_request(reader: asyncio.StreamReader) -> Request | None:
     start = await _read_line(reader)
     if not start.strip():
         return None

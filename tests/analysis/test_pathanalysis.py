@@ -138,6 +138,26 @@ class TestCampaignAnalysis:
         assert (boundary, determinate) == (1, 1)
         assert fraction == 1.0
 
+    def test_boundary_fraction_counts_interior_strips(self):
+        """One strip where the AS changes, one inside an AS: half the
+        determinate strips sit at a boundary."""
+        campaign = TracerouteCampaign()
+        campaign.add(path([(1, ECT), (2, ECT), (3, CLEARED)]))  # boundary strip
+        campaign.add(path([(1, ECT), (4, ECT), (5, CLEARED)]))  # interior strip
+        analysis = analyze_campaign(campaign, FakeMap({1: 100, 2: 100, 3: 200, 4: 300, 5: 300}))
+        fraction, boundary, determinate = analysis.boundary_strip_fraction()
+        assert (boundary, determinate) == (1, 2)
+        assert fraction == pytest.approx(0.5)
+
+    def test_boundary_fraction_excludes_indeterminate_strips(self):
+        """A strip at a hop of unknown AS has no boundary verdict: it is
+        left out of the fraction's denominator, not counted interior."""
+        campaign = TracerouteCampaign()
+        campaign.add(path([(1, ECT), (7, CLEARED)]))
+        analysis = analyze_campaign(campaign, FakeMap({1: 10}))
+        assert analysis.strip_events == 1
+        assert analysis.boundary_strip_fraction() == (0.0, 0, 0)
+
 
 class TestOnMeasuredStudy:
     def test_vast_majority_of_hops_pass(self, study_results):

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.asmap.boundaries import boundary_fraction, classify_hop
+from repro.asmap.boundaries import classify_hop
 from repro.asmap.mapping import ASMap, NoisyASMap, UNKNOWN_ASN
 from repro.netsim.ipv4 import Prefix, parse_addr
 
@@ -99,28 +99,3 @@ class TestBoundaryClassification:
     def test_index_out_of_range(self):
         with pytest.raises(IndexError):
             classify_hop([100], 5)
-
-
-class TestBoundaryFraction:
-    def test_simple_fraction(self):
-        paths = [[100, 100, 200, 200], [100, 300, 300, 300]]
-        flagged = [
-            [False, False, True, False],  # boundary strip
-            [False, False, True, False],  # interior strip
-        ]
-        fraction, boundary, determinate = boundary_fraction(paths, flagged)
-        assert (boundary, determinate) == (1, 2)
-        assert fraction == pytest.approx(0.5)
-
-    def test_indeterminate_excluded(self):
-        paths = [[UNKNOWN_ASN, UNKNOWN_ASN]]
-        flagged = [[False, True]]
-        fraction, boundary, determinate = boundary_fraction(paths, flagged)
-        assert determinate == 0
-        assert fraction == 0.0
-
-    def test_parallel_validation(self):
-        with pytest.raises(ValueError):
-            boundary_fraction([[100]], [[True], [False]])
-        with pytest.raises(ValueError):
-            boundary_fraction([[100]], [[True, False]])

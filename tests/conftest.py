@@ -16,6 +16,7 @@ from repro.netsim.link import link_pair
 from repro.netsim.network import EVENT, FAST, Network
 from repro.netsim.router import Router
 from repro.netsim.topology import Topology
+from repro.obs.tracing import PathTracer
 from repro.scenario.internet import SyntheticInternet
 from repro.scenario.parameters import scaled_params
 
@@ -76,6 +77,29 @@ def two_host_net():
 def two_host_net_event():
     """Fresh two-router event-mode network per test."""
     return build_two_host_net(mode=EVENT)
+
+
+@pytest.fixture
+def trace_host():
+    """Watch one host the way tcpdump on it would.
+
+    ``trace_host(net, host, action, match=None)`` installs a
+    :class:`PathTracer` on ``net`` and returns a function listing the
+    traced events at ``host`` with that ``action``, in order: ``"tx"``
+    is recorded before the host's outbound filters, ``"rx"`` after its
+    inbound filters and before any demux.
+    """
+
+    def install(net, host, action, match=None):
+        tracer = PathTracer(match=match)
+        net.set_observability(None, tracer)
+        return lambda: [
+            event
+            for event in tracer.events
+            if event.hop == host.hostname and event.action == action
+        ]
+
+    return install
 
 
 @pytest.fixture(scope="session")

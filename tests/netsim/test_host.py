@@ -1,4 +1,9 @@
-"""Tests for hosts, sockets, taps, and access-link filters."""
+"""Tests for hosts, sockets, taps, and access-link filters.
+
+A host's tap is the network's :class:`~repro.obs.tracing.PathTracer`:
+its ``tx`` and ``rx`` events at the host are what tcpdump on the host
+would record.
+"""
 
 import pytest
 
@@ -9,6 +14,7 @@ from repro.netsim.ipv4 import parse_addr
 from repro.netsim.middlebox import ECTDropper
 from repro.netsim.queues import BernoulliLoss
 from repro.netsim.sockets import EPHEMERAL_BASE
+from repro.obs.tracing import PathTracer
 
 
 class TestUDPSockets:
@@ -74,14 +80,13 @@ class TestUDPSockets:
 
 
 class TestECNMarking:
-    def test_socket_send_sets_tos(self, two_host_net):
+    def test_socket_send_sets_tos(self, two_host_net, trace_host):
         net, client, server = two_host_net
-        seen = []
-        server.add_tap(lambda d, p, t: seen.append(p.ecn))
+        seen = trace_host(net, server, "rx")
         client.udp_bind(None).send(server.addr, 123, b"x", ecn=ECN.ECT_0)
         client.udp_bind(None).send(server.addr, 123, b"y", ecn=ECN.NOT_ECT)
         net.scheduler.run()
-        assert seen == [ECN.ECT_0, ECN.NOT_ECT]
+        assert [event.ecn_before for event in seen()] == [ECN.ECT_0, ECN.NOT_ECT]
 
     def test_send_rejects_out_of_range_ecn(self, two_host_net):
         """Regression: the inline TOS fast path must not let a bad ecn
@@ -103,22 +108,23 @@ class TestECNMarking:
 class TestTaps:
     def test_taps_see_both_directions(self, two_host_net):
         net, client, server = two_host_net
-        directions = []
-        client.add_tap(lambda d, p, t: directions.append(d))
+        tracer = PathTracer(match="udp")
+        net.set_observability(None, tracer)
         server.udp_bind(123, lambda d, p, t: sock_s.send(p.src, d.src_port, b"r"))
         sock_s = server._udp_sockets[123]
         client.udp_bind(None, lambda d, p, t: None).send(server.addr, 123, b"q")
         net.scheduler.run()
-        assert directions == ["out", "in"]
+        at_client = [event.action for event in tracer.events if event.hop == "client"]
+        assert at_client == ["tx", "rx"]
 
     def test_tap_removal(self, two_host_net):
         net, client, server = two_host_net
-        seen = []
-        remove = client.add_tap(lambda d, p, t: seen.append(d))
-        remove()
+        tracer = PathTracer()
+        net.set_observability(None, tracer)
+        net.set_observability(None, None)
         client.udp_bind(None).send(server.addr, 123, b"x")
         net.scheduler.run()
-        assert seen == []
+        assert len(tracer) == 0
 
 
 class TestFilters:
@@ -146,11 +152,12 @@ class TestFilters:
         later drops (the McQuistin-home situation)."""
         net, client, server = two_host_net
         client.outbound_filters.append(ECTDropper())
-        seen = []
-        client.add_tap(lambda d, p, t: seen.append(p.ecn))
+        tracer = PathTracer()
+        net.set_observability(None, tracer)
         client.udp_bind(None).send(server.addr, 123, b"x", ecn=ECN.ECT_0)
         net.scheduler.run()
-        assert seen == [ECN.ECT_0]
+        assert [(event.hop, event.action) for event in tracer.events] == [("client", "tx")]
+        assert tracer.events[0].ecn_before == ECN.ECT_0
 
 
 class TestAccessLink:

@@ -76,20 +76,19 @@ class TestDelivery:
     def test_ttl_decrements_per_router(self, mode):
         net, client, server = build_chain(mode)
         ttls = []
-        server.add_tap(lambda d, p, t: ttls.append(p.ttl))
+        server.udp_bind(123, lambda d, p, t: ttls.append(p.ttl))
         client.udp_bind(None).send(server.addr, 123, b"x", ttl=64)
         net.scheduler.run()
         assert ttls == [60]  # four routers on the path
 
 
 class TestMiddleboxesInPath:
-    def test_bleacher_clears_mark_before_delivery(self, mode):
+    def test_bleacher_clears_mark_before_delivery(self, mode, trace_host):
         net, client, server = build_chain(mode, bleach_at=2)
-        marks = []
-        server.add_tap(lambda d, p, t: marks.append(p.ecn))
+        arrived = trace_host(net, server, "rx")
         client.udp_bind(None).send(server.addr, 123, b"x", ecn=ECN.ECT_0)
         net.scheduler.run()
-        assert marks == [ECN.NOT_ECT]
+        assert [event.ecn_before for event in arrived()] == [ECN.NOT_ECT]
 
     def test_dropper_blocks_marked_packets_only(self, mode):
         net, client, server = build_chain(mode, drop_at=2)

@@ -1,5 +1,7 @@
 """Tests for run telemetry: shard records, merging, rendering."""
 
+import pytest
+
 from repro.obs import (
     RunTelemetry,
     ShardRecord,
@@ -81,6 +83,40 @@ class TestRunTelemetry:
         assert first == second
         assert telemetry.wall_seconds == 0.1234567
         assert telemetry.shards[0].elapsed == 0.7654321
+
+
+class TestFromDict:
+    def test_inverts_to_dict(self):
+        telemetry = RunTelemetry(
+            workers=2,
+            wall_seconds=1.5,
+            runner={"dispatched": 3},
+            chaos={"profile": "light", "events": 1, "by_kind": {"link": 1}},
+        )
+        telemetry.merge_metrics([{"counters": {"a": 1}, "gauges": {}}])
+        for shard_id in (1, 0):
+            telemetry.record_shard(record(shard_id, elapsed=0.5, attempts=2))
+        document = telemetry.to_dict()
+        assert RunTelemetry.from_dict(document).to_dict() == document
+
+    @pytest.mark.parametrize(
+        "document",
+        [
+            [],
+            {"shards": [{**record(0).to_dict(), "extra": 1}]},
+            {"shards": [{"shard_id": 0}]},
+            {"shards": ["shard-0"]},
+            {"shards": {}},
+            {"shards": [{**record(0).to_dict(), "elapsed": "slow"}]},
+            {"workers": "2"},
+            {"surprise": True},
+        ],
+        ids=["list", "unknown-shard-key", "missing-shard-key", "shard-not-object",
+             "shards-not-list", "elapsed-not-number", "workers-not-int", "unknown-key"],
+    )
+    def test_malformed_document_raises_value_error(self, document):
+        with pytest.raises(ValueError):
+            RunTelemetry.from_dict(document)
 
 
 class TestRendering:

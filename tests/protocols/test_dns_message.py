@@ -1,7 +1,7 @@
 """Tests for the DNS message codec, including name compression."""
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from repro.netsim.errors import CodecError
@@ -146,3 +146,36 @@ def test_message_with_shared_suffixes_roundtrips(names_labels, ident):
     decoded = DNSMessage.decode(DNSMessage.response_to(query, answers).encode())
     assert [r.name for r in decoded.answers] == [a.name for a in answers]
     assert [r.address for r in decoded.answers] == [a.address for a in answers]
+
+
+def _decode_or_codec_error(wire: bytes) -> None:
+    """Decoding hostile bytes may fail, but only with the typed error."""
+    try:
+        DNSMessage.decode(wire)
+    except CodecError:
+        pass
+
+
+@given(st.binary(max_size=96))
+@example(bytes.fromhex("0001010000010000000000000378ff7a0000010001"))
+def test_random_bytes_raise_only_codec_error(wire):
+    _decode_or_codec_error(wire)
+
+
+@given(
+    st.lists(st.lists(_label, min_size=2, max_size=4), min_size=1, max_size=4),
+    st.data(),
+)
+def test_truncated_or_garbled_response_raises_only_codec_error(names_labels, data):
+    """A real response, cut short and with one byte overwritten (a
+    non-ASCII label byte included), never escapes as another error."""
+    query = DNSMessage.query(7, "pool.ntp.org")
+    answers = [
+        ResourceRecord(".".join(labels) + ".ntp.org", QTYPE_A, 1, 60, address=i)
+        for i, labels in enumerate(names_labels)
+    ]
+    wire = bytearray(DNSMessage.response_to(query, answers).encode())
+    index = data.draw(st.integers(0, len(wire) - 1))
+    wire[index] = data.draw(st.integers(0, 0xFF))
+    cut = data.draw(st.integers(0, len(wire)))
+    _decode_or_codec_error(bytes(wire[:cut]))

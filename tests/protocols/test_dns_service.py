@@ -93,21 +93,20 @@ class TestServerResolver:
         net.scheduler.run()
         assert results[0].responded
 
-    def test_resolver_ecn_marking(self, two_host_net):
+    def test_resolver_ecn_marking(self, two_host_net, trace_host):
         """Queries carry the requested ECN codepoint (the §3 DNS
         variant: probe resolvers with ECT(0)-marked queries)."""
         from repro.netsim.ecn import ECN
 
         net, client, server = two_host_net
         dns, _ = self._wire(net, client, server, [1])
-        marks = []
-        server.add_tap(lambda d, p, t: marks.append(p.ecn) if d == "in" else None)
+        arrived = trace_host(net, server, "rx")
         ect_resolver = Resolver(client, server.addr, ecn=ECN.ECT_0)
         results = []
         ect_resolver.lookup("pool.ntp.org", results.append)
         net.scheduler.run()
         assert results[0].responded
-        assert marks == [ECN.ECT_0]
+        assert [event.ecn_before for event in arrived()] == [ECN.ECT_0]
 
     def test_ect_blocked_dns_server(self, two_host_net):
         """An ECT-dropping firewall blackholes ECT-marked queries while

@@ -53,16 +53,15 @@ class TestServer:
         assert got == []
         assert ntp.requests_served == 0
 
-    def test_server_response_is_not_ect(self, two_host_net):
+    def test_server_response_is_not_ect(self, two_host_net, trace_host):
         """NTP doesn't use ECN: responses ride not-ECT packets, which
         is why the paper can only probe the forward path."""
         net, client, server = two_host_net
         NTPServer(server)
-        marks = []
-        client.add_tap(lambda d, p, t: marks.append(p.ecn) if d == "in" else None)
+        arrived = trace_host(net, client, "rx")
         query_server(client, server.addr, ECN.ECT_0, lambda r: None)
         net.scheduler.run()
-        assert marks == [ECN.NOT_ECT]
+        assert [event.ecn_before for event in arrived()] == [ECN.NOT_ECT]
 
 
 class TestClientRetries:
@@ -92,14 +91,13 @@ class TestClientRetries:
         assert results[0].responded
         assert results[0].attempts >= 1
 
-    def test_ect_marked_probe_carries_mark(self, two_host_net):
+    def test_ect_marked_probe_carries_mark(self, two_host_net, trace_host):
         net, client, server = two_host_net
         NTPServer(server)
-        marks = []
-        server.add_tap(lambda d, p, t: marks.append(p.ecn) if d == "in" else None)
+        arrived = trace_host(net, server, "rx")
         query_server(client, server.addr, ECN.ECT_0, lambda r: None)
         net.scheduler.run()
-        assert marks == [ECN.ECT_0]
+        assert [event.ecn_before for event in arrived()] == [ECN.ECT_0]
 
     def test_rtt_measured(self, two_host_net):
         net, client, server = two_host_net

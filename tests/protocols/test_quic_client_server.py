@@ -36,16 +36,16 @@ class TestHandshakeAndCounts:
         assert result.ce_echoed == 0
         assert classify_probe(result) == "valid"
 
-    def test_server_replies_not_ect(self, two_host_net):
+    def test_server_replies_not_ect(self, two_host_net, trace_host):
         """Like NTP, the reverse path is unmarked — only the forward
         direction is validated, mirroring the paper's limitation."""
         net, client, server = two_host_net
         QUICServer(server)
-        marks = []
-        client.add_tap(lambda d, p, t: marks.append(p.ecn) if d == "in" else None)
+        arrived = trace_host(net, client, "rx")
         probe(client, server.addr, packets=2)
         net.scheduler.run()
-        assert marks and all(ecn is ECN.NOT_ECT for ecn in marks)
+        marks = [event.ecn_before for event in arrived()]
+        assert marks and all(ecn == ECN.NOT_ECT for ecn in marks)
 
     def test_duplicate_packet_numbers_counted_once(self, two_host_net):
         """RFC 9000 §13.4.1: ECN counts are per distinct packet number."""

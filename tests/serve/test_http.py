@@ -63,6 +63,18 @@ class TestReadRequest:
     def test_peer_closed_before_request_is_none(self):
         assert parse(b"") is None
 
+    def test_stalled_request_is_none_at_the_deadline(self, monkeypatch):
+        from repro.serve import http
+
+        monkeypatch.setattr(http, "REQUEST_READ_SECONDS", 0.05)
+
+        async def go():
+            reader = asyncio.StreamReader()
+            reader.feed_data(b"GET /studies HTTP/1.1\r\nHost: h\r\n")  # no blank line
+            return await read_request(reader)
+
+        assert asyncio.run(go()) is None
+
     def test_malformed_request_line(self):
         with pytest.raises(HttpError) as exc:
             parse(b"NONSENSE\r\n\r\n")

@@ -166,6 +166,31 @@ class TestValidationAndRouting:
         asyncio.run(go())
 
 
+class TestSilentClient:
+    def test_silent_client_is_disconnected_at_the_read_deadline(self, tmp_path, monkeypatch):
+        from repro.serve import http
+
+        monkeypatch.setattr(http, "REQUEST_READ_SECONDS", 0.2)
+
+        async def go():
+            server = StudyServer(config(tmp_path))
+            await server.start()
+            port = server.port
+            try:
+                reader, writer = await asyncio.open_connection("127.0.0.1", port)
+                # Connect, send nothing: the server closes its end once
+                # the deadline passes, so the read sees EOF, not a hang.
+                assert await asyncio.wait_for(reader.read(), timeout=10) == b""
+                writer.close()
+                # The handler is free again: a real request still works.
+                status, _, _ = await request_json(port, "GET", "/studies")
+                assert status == 200
+            finally:
+                await server.shutdown()
+
+        asyncio.run(go())
+
+
 class TestBackpressureAndCancel:
     def test_quota_queue_full_and_cancel(self, tmp_path):
         async def go():

@@ -134,19 +134,28 @@ class TestECNNegotiation:
         assert not conn.ecn_active
         assert not (conn.peer_syn_flags & Flags.ECE)
 
-    def test_syn_is_sent_not_ect(self, two_host_net):
+    def test_syn_is_sent_not_ect(self, two_host_net, trace_host):
         """Footnote 1 of the paper: the ECN-setup SYN itself rides in a
         not-ECT marked IP packet."""
         net, client, server = two_host_net
         wire_server(server, ecn_policy=ECNServerPolicy.NEGOTIATE)
-        marks = []
-        client.add_tap(lambda d, p, t: marks.append((d, p.ecn)) if d == "out" else None)
+        sent = trace_host(net, client, "tx")
         stack = TCPStack(client)
         stack.connect(server.addr, 80, use_ecn=True)
         net.scheduler.run()
         from repro.netsim.ecn import ECN
 
-        assert marks[0] == ("out", ECN.NOT_ECT)
+        assert sent()[0].ecn_before == ECN.NOT_ECT
+
+    def test_ecn_setup_syn_carries_ece_and_cwr(self, two_host_net):
+        """RFC 3168 §6.1.1: the client's ECN-setup SYN leaves with both
+        ECE and CWR set, as the listening server receives it."""
+        net, client, server = two_host_net
+        _, accepted = wire_server(server, ecn_policy=ECNServerPolicy.NEGOTIATE)
+        TCPStack(client).connect(server.addr, 80, use_ecn=True)
+        net.scheduler.run()
+        syn_flags = accepted[0].peer_syn_flags
+        assert syn_flags & Flags.SYN and syn_flags & Flags.ECE and syn_flags & Flags.CWR
 
 
 class TestTeardown:
@@ -223,12 +232,12 @@ class TestRetransmission:
         net.scheduler.run()
         assert failures == ["syn-timeout"]
 
-    def test_rto_backs_off_exponentially(self, net_factory):
+    def test_rto_backs_off_exponentially(self, net_factory, trace_host):
         net, client, server = self._lossy_net(net_factory, 1.0)
-        sent_times = []
-        client.add_tap(lambda d, p, t: sent_times.append(t) if d == "out" else None)
+        sent = trace_host(net, client, "tx")
         stack = TCPStack(client)
         stack.connect(server.addr, 80, syn_retries=3, rto_initial=1.0)
         net.scheduler.run()
+        sent_times = [event.time for event in sent()]
         gaps = [b - a for a, b in zip(sent_times, sent_times[1:])]
         assert gaps == pytest.approx([1.0, 2.0, 4.0])

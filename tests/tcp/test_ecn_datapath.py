@@ -30,47 +30,40 @@ def wire_sink(server, policy=ECNServerPolicy.NEGOTIATE):
 
 
 class TestECTMarking:
-    def test_data_segments_marked_ect0_when_negotiated(self, two_host_net):
+    def test_data_segments_marked_ect0_when_negotiated(self, two_host_net, trace_host):
         net, client, server = two_host_net
         wire_sink(server)
-        marks = []
-        client.add_tap(
-            lambda d, p, t: marks.append(p.ecn)
-            if d == "out" and p.protocol == PROTO_TCP and len(p.payload) > 20
-            else None
+        data_sent = trace_host(
+            net, client, "tx", match=lambda p: p.protocol == PROTO_TCP and len(p.payload) > 20
         )
         stack = TCPStack(client)
         conn = stack.connect(server.addr, 80, use_ecn=True)
         conn.on_established = lambda c: c.send(b"data!")
         net.scheduler.run()
-        assert ECN.ECT_0 in marks
+        assert ECN.ECT_0 in [event.ecn_before for event in data_sent()]
         assert conn.ecn_stats.ect_data_sent == 1
 
-    def test_data_not_marked_without_negotiation(self, two_host_net):
+    def test_data_not_marked_without_negotiation(self, two_host_net, trace_host):
         net, client, server = two_host_net
         wire_sink(server, policy=ECNServerPolicy.IGNORE)
-        marks = set()
-        client.add_tap(lambda d, p, t: marks.add(p.ecn) if d == "out" else None)
+        sent = trace_host(net, client, "tx")
         stack = TCPStack(client)
         conn = stack.connect(server.addr, 80, use_ecn=True)
         conn.on_established = lambda c: c.send(b"data!")
         net.scheduler.run()
-        assert marks == {ECN.NOT_ECT}
+        assert {event.ecn_before for event in sent()} == {ECN.NOT_ECT}
 
-    def test_pure_acks_not_marked(self, two_host_net):
+    def test_pure_acks_not_marked(self, two_host_net, trace_host):
         net, client, server = two_host_net
         wire_sink(server)
-        ack_marks = []
-        client.add_tap(
-            lambda d, p, t: ack_marks.append(p.ecn)
-            if d == "out" and p.protocol == PROTO_TCP and len(p.payload) == 20
-            else None
+        acks_sent = trace_host(
+            net, client, "tx", match=lambda p: p.protocol == PROTO_TCP and len(p.payload) == 20
         )
         stack = TCPStack(client)
         conn = stack.connect(server.addr, 80, use_ecn=True)
         conn.on_established = lambda c: c.send(b"data!")
         net.scheduler.run()
-        assert set(ack_marks) == {ECN.NOT_ECT}
+        assert {event.ecn_before for event in acks_sent()} == {ECN.NOT_ECT}
 
 
 class TestCongestionEcho:

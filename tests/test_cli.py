@@ -170,6 +170,47 @@ class TestExitCodes:
         assert "cannot load study" in capsys.readouterr().err
 
 
+class TestMetricsCommand:
+    """A malformed archive exits 2 with one stderr line, no traceback."""
+
+    def _study(self, tmp_path, telemetry=None, metrics=None):
+        study = tmp_path / "study"
+        study.mkdir()
+        (study / "metrics.json").write_text(
+            json.dumps(metrics if metrics is not None else {"counters": {"a": 1}, "gauges": {}})
+        )
+        if telemetry is not None:
+            (study / "telemetry.json").write_text(json.dumps(telemetry))
+        return study
+
+    def test_renders_telemetry(self, tmp_path, capsys):
+        shard = {"shard_id": 0, "kind": "traces", "label": "s0", "attempts": 1,
+                 "elapsed": 0.5, "units": 3}
+        study = self._study(tmp_path, {"workers": 2, "shards": [shard]})
+        assert main(["metrics", "--study", str(study)]) == 0
+        assert "workers=2" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "telemetry",
+        [
+            {"shards": [{"shard_id": 0, "kind": "traces", "label": "s0", "attempts": 1,
+                         "elapsed": 0.5, "units": 3, "surprise": 1}]},
+            [{"workers": 2}],
+        ],
+        ids=["unknown-shard-key", "top-level-list"],
+    )
+    def test_malformed_telemetry_exits_2(self, tmp_path, capsys, telemetry):
+        study = self._study(tmp_path, telemetry)
+        assert main(["metrics", "--study", str(study)]) == 2
+        err = capsys.readouterr().err.strip()
+        assert "telemetry.json" in err and len(err.splitlines()) == 1
+
+    def test_metrics_not_an_object_exits_2(self, tmp_path, capsys):
+        study = self._study(tmp_path, metrics=[1, 2])
+        assert main(["metrics", "--study", str(study)]) == 2
+        assert "metrics.json" in capsys.readouterr().err
+
+
 class TestStudiesCommand:
     def test_lists_and_migrates(self, tmp_path, capsys):
         study = tmp_path / "legacy"

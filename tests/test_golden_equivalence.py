@@ -47,3 +47,22 @@ def test_study_reproduces_pre_refactor_golden(filename, extra):
         for key in ("campaign", "traces"):
             assert doc[key] == golden_doc[key], f"{key} diverged from golden"
         raise AssertionError("archives differ despite equal sections")
+
+
+#: Exact simulated work of the plain golden study, named as perfbench
+#: names it: ``netsim.events`` is the engine's dispatched events and
+#: ``netsim.packets_sent`` the TCP + UDP packets hosts put on the wire.
+#: Both are pure functions of (code, scale, seed), so host speed cannot
+#: move them; a change that adds or removes simulated work must update
+#: them on purpose.
+GOLDEN_WORK = {"netsim.events": 82_030, "netsim.packets_sent": 61_879}
+
+
+def test_golden_study_work_counts():
+    study = Study.run(scale=0.02, seed=20150401, workers=0, collect_metrics=True)
+    counters = study.metrics["counters"]
+    work = {
+        "netsim.events": counters["engine.dispatched"],
+        "netsim.packets_sent": counters["host.tx.tcp"] + counters["host.tx.udp"],
+    }
+    assert work == GOLDEN_WORK
